@@ -20,7 +20,7 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 from .errors import DomainError
 from .quadrature import QuadratureConfig, integrate
-from .quasi_poisson import MomentVector, Pmf, pmf_from_falling_moments
+from .quasi_poisson import MomentVector, pmf_from_falling_moments
 from .special_fn import dilog
 
 __all__ = [
@@ -66,11 +66,14 @@ class _PiecewiseCheb:
 
     left/right give the value outside the tabulated range; None clamps to the
     nearest endpoint (for queries that only stray past it by roundoff).
+    Pieces are evaluated by scalar Clenshaw in numpy's mapdomain/chebval
+    operation order: bit-identical to Chebyshev.__call__, minus its overhead.
     """
 
     def __init__(self, bounds, chebs, left, right):
         self.bounds = bounds
-        self.chebs = chebs
+        self.pieces = [(*map(float, ch.mapparms()), ch.coef[::-1].tolist())
+                       for ch in chebs]
         self.left = left
         self.right = right
 
@@ -83,8 +86,14 @@ class _PiecewiseCheb:
             if self.right is not None:
                 return self.right
             t = self.bounds[-1]
-        i = min(bisect.bisect_right(self.bounds, t) - 1, len(self.chebs) - 1)
-        return float(self.chebs[i](t))
+        i = min(bisect.bisect_right(self.bounds, t) - 1, len(self.pieces) - 1)
+        off, scl, coef = self.pieces[i]
+        x = off + scl * t
+        x2 = 2 * x
+        c1, c0 = coef[0], coef[1]
+        for a in coef[2:]:
+            c0, c1 = a - c1, c0 + c1 * x2
+        return c0 + c1 * x
 
 
 def _dedupe(points, eps=_BND_EPS):
@@ -115,11 +124,10 @@ def _interp_pieces(bounds, fn):
 def _eval_I(t, m, g, d, prev_fn, prev_kinks, cfg):
     top = min(d, t - (m - 1) * g)
     if top <= g:
-        return 0.0
+        return 0.0, 0.0
     brks = [t - k for k in prev_kinks if g < t - k < top]
-    val, _ = integrate(lambda z: prev_fn(t - z) / z, g, top, cfg,
-                       breakpoints=brks)
-    return val
+    return integrate(lambda z: prev_fn(t - z) / z, g, top, cfg,
+                     breakpoints=brks)
 
 
 def _build_I_level(m, g, d, cap, prev_fn, prev_kinks, cfg):
@@ -127,9 +135,30 @@ def _build_I_level(m, g, d, cap, prev_fn, prev_kinks, cfg):
     kinks = sorted(a * g + (m - a) * d for a in range(m, -1, -1))
     bounds = _dedupe([lo, hi] + [k for k in kinks if lo < k < hi])
     pieces = _interp_pieces(
-        bounds, lambda t: _eval_I(t, m, g, d, prev_fn, prev_kinks, cfg))
+        bounds, lambda t: _eval_I(t, m, g, d, prev_fn, prev_kinks, cfg)[0])
     above = math.log(d / g) ** m if hi >= m * d - _BND_EPS else None
     return _PiecewiseCheb(bounds, pieces, left=0.0, right=above), kinks
+
+
+def _sliced_moments(r, g, d, c, cfg):
+    """(value, err) of the c-slice integral for each order 1..r, in order.
+
+    Every order reads off one ladder of levels, each tabulated once with cap
+    c - gamma: order m+1 reads I_m(c - z) for z >= gamma, the widest use.
+    """
+    cfg = cfg or QuadratureConfig()
+    prev_fn = lambda t: math.log(min(d, t) / g) if min(d, t) > g else 0.0
+    prev_kinks = [g, d]
+    yield prev_fn(c), 0.0
+    for j in range(2, r + 1):
+        if j * g >= c:
+            yield 0.0, 0.0  # the region is empty or degenerate
+            continue
+        if j > 2:
+            prev_fn, prev_kinks = _build_I_level(
+                j - 1, g, d, c - g, prev_fn, prev_kinks, cfg)
+        val, err = _eval_I(c, j, g, d, prev_fn, prev_kinks, cfg)
+        yield val, err + (j - 1) * cfg.abs_tol
 
 
 def sliced_cube_integral(r, iv: Interval, c, cfg=None, with_error=False):
@@ -148,25 +177,8 @@ def sliced_cube_integral(r, iv: Interval, c, cfg=None, with_error=False):
         return (1.0, 0.0) if with_error else 1.0
     if c <= 0:
         raise DomainError(f"need c > 0, got {c}")
-    g, d = iv.g, iv.d
-    if r * g >= c:
-        return (0.0, 0.0) if with_error else 0.0
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if r == 1:
-        v = math.log(min(d, c) / g) if min(d, c) > g else 0.0
-        return (v, 0.0) if with_error else v
-    prev_fn = lambda t: math.log(min(d, t) / g) if min(d, t) > g else 0.0
-    prev_kinks = [g, d]
-    for m in range(2, r):
-        prev_fn, prev_kinks = _build_I_level(
-            m, g, d, c - (r - m) * g, prev_fn, prev_kinks, cfg)
-    top = min(d, c - (r - 1) * g)
-    brks = [c - k for k in prev_kinks if g < c - k < top]
-    val, err = integrate(lambda z: prev_fn(c - z) / z, g, top, cfg,
-                         breakpoints=brks)
-    total_err = err + (r - 1) * cfg.abs_tol
-    return (val, total_err) if with_error else val
+    val, err = list(_sliced_moments(r, iv.g, iv.d, c, cfg))[-1]
+    return (val, err) if with_error else val
 
 
 def q_limit(r, iv: Interval, cfg=None):
@@ -271,10 +283,8 @@ def p_limit(iv: Interval, cfg=None):
     Falling moments q_0..q_r from quadrature, inverted to probabilities;
     entries sum to 1 within the accumulated quadrature tolerance.
     """
-    r = support_bound(iv.gamma)
-    q = [1.0]
-    for j in range(1, r + 1):
-        q.append(max(q_limit(j, iv, cfg), 0.0))
+    moments = _sliced_moments(support_bound(iv.gamma), iv.g, iv.d, 1.0, cfg)
+    q = [1.0] + [max(v, 0.0) for v, _ in moments]
     return pmf_from_falling_moments(MomentVector(tuple(q)))
 
 

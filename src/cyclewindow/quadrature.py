@@ -4,7 +4,7 @@ Two panel rules are available: a 15-point Gauss-Kronrod pair (default) and
 adaptive Simpson.  The Kronrod extension of the 7-point Gauss rule is built
 at import time from the degree-8 Stieltjes polynomial, not pasted in as
 decimal literals; the construction is exact-rational up to the final root
-solve, and a test pins polynomial exactness through degree 22.
+solve, and a test pins polynomial exactness through degree 23.
 
 The Gauss-Kronrod nodes are interior points, so integrands may be singular
 at the interval endpoints as long as the integral itself is finite.

@@ -91,18 +91,7 @@ def qp_pmf(r, lam):
         raise DomainError(f"need r >= 1, got {r}")
     if not 0 <= lam <= 1:
         raise DomainError(f"quasi-Poisson exists only for lam in [0, 1], got {lam}")
-    exact = _is_exact(lam)
-    probs = []
-    for i in range(r + 1):
-        acc = Fraction(0) if exact else 0.0
-        for j in range(r, i - 1, -1):
-            term = math.comb(j, i) * lam**j / (Fraction(math.factorial(j)) if exact else math.factorial(j))
-            acc += term if (j - i) % 2 == 0 else -term
-        if not exact:
-            # alternating cancellation can leave tiny negative dust at lam near 1
-            acc = max(acc, 0.0)
-        probs.append(acc)
-    return Pmf(tuple(probs))
+    return pmf_from_falling_moments(MomentVector(tuple(lam**j for j in range(r + 1))))
 
 
 def falling_moment(pmf: Pmf, k):

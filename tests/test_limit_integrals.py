@@ -6,17 +6,21 @@ and high-precision evaluation of the analytic formulas.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from cyclewindow.errors import DomainError
 from cyclewindow.limit_integrals import (
-    Interval, Q_recurrence, argmax_p, ewens_lambda, gamma_star, p1_derivative,
-    p_limit, q2_closed_form, q_limit, sliced_cube_integral,
-    small_simplex_ratio, support_bound,
+    Interval, Q_recurrence, _interp_pieces, _PiecewiseCheb, argmax_p,
+    ewens_lambda, gamma_star, p1_derivative, p_limit, q2_closed_form, q_limit,
+    sliced_cube_integral, small_simplex_ratio, support_bound,
 )
 from cyclewindow.quadrature import QuadratureConfig
+from cyclewindow.quasi_poisson import (
+    MomentVector, falling_moment, pmf_from_falling_moments,
+)
 
 GAMMA_STAR = 1.0 / (1.0 + math.exp(0.5))
 
@@ -33,6 +37,27 @@ class TestInterval:
             Interval(0.0, 0.5)
         with pytest.raises(DomainError):
             Interval(0.4, 1.1)
+
+
+class TestPiecewiseCheb:
+    def test_bit_identical_to_numpy_in_every_piece(self):
+        # A level-like table: kink at 0.3, pieces of uneven width.
+        bounds = [0.15, 0.3, 0.42, 0.9]
+        level = lambda t: math.log(t / 0.15) * math.log(max(t, 0.3) / 0.3 + 1.0)
+        chebs = _interp_pieces(bounds, level)
+        table = _PiecewiseCheb(bounds, chebs, left=0.0, right=None)
+        rng = random.Random(20260815)
+        for a, b, cheb in zip(bounds, bounds[1:], chebs):
+            for _ in range(2000):
+                t = rng.uniform(a, b)
+                assert table(t) == float(cheb(t))
+
+    def test_outside_range(self):
+        bounds = [0.2, 0.5]
+        table = _PiecewiseCheb(bounds, _interp_pieces(bounds, math.exp),
+                               left=0.0, right=None)
+        assert table(0.1) == 0.0
+        assert table(0.7) == table(0.5)
 
 
 class TestSlicedCubeIntegral:
@@ -228,6 +253,28 @@ class TestPLimit:
         for g, d in [(0.1, 0.9), (0.15, 0.35), (0.22, 1.0)]:
             assert math.fsum(p_limit(Interval(g, d)).as_floats()) == \
                 pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("g,d", [(0.3, 0.8), (0.22, 1.0), (0.15, 0.35),
+                                     (Fraction(1, 4), Fraction(1, 3)), (0.11, 0.6)])
+    def test_matches_inversion_of_per_order_moments(self, g, d):
+        iv = Interval(g, d)
+        q = [1.0] + [max(q_limit(j, iv), 0.0)
+                     for j in range(1, support_bound(iv.gamma) + 1)]
+        want = pmf_from_falling_moments(MomentVector(tuple(q))).as_floats()
+        got = p_limit(iv).as_floats()
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, abs=1e-12)
+
+    def test_deep_window_box_moments(self):
+        # gamma near 1/20, delta near 1/10: support 20, 18 nested levels.
+        # While r * delta <= 1 the slice never binds, so q_r = log(delta/gamma)^r.
+        g, d = 1 / 20.5, 1 / 10.3
+        p = p_limit(Interval(g, d))
+        assert len(p) == 21
+        for r in range(1, 11):
+            assert falling_moment(p, r) == pytest.approx(
+                math.log(d / g) ** r, abs=1e-12)
 
 
 class TestP1Derivative:
