@@ -7,6 +7,7 @@ with length in an integer window, and a brute-force enumerator for tiny n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,10 +106,10 @@ def exact_pmf(n, w: IntWindow, rational=None):
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if w.a > n:
-        return Pmf((Fraction(1),) if (rational or rational is None and n <= RATIONAL_LIMIT) else (1.0,))
     if rational is None:
         rational = n <= RATIONAL_LIMIT
+    if w.a > n:
+        return Pmf((Fraction(1),) if rational else (1.0,))
     support = n // w.a + 1
     zero, one = (Fraction(0), Fraction(1)) if rational else (0.0, 1.0)
 
@@ -166,9 +167,12 @@ def brute_force_pmf(n, w: IntWindow):
 def exact_falling_moment(n, w: IntWindow, r):
     """E[(X)_r] for X = number of cycles with length in the window, exact.
 
-    Sums r! / prod(l_k!) * prod k^{-l_k} over all ways to place multiplicities
-    l_k >= 1 on window lengths k with sum l_k = r and sum k*l_k <= n, pruned by
-    the budget constraint.
+    By Cauchy's formula E[(X)_r] is the sum of prod 1/k_i over ordered tuples
+    (k_1..k_r) of window lengths with sum k_i <= n.  Built by convolution:
+    f_0 = [s = 0], f_j(s) = sum_{a <= k <= min(b, s)} f_{j-1}(s - k) / k for
+    s <= n, and the moment is the sum of f_r, taken as the sum of f_{r-1}(t)
+    times the window's harmonic sum up to n - t.  The f_j are carried as
+    integers over the common denominator d**j, d = lcm of the window lengths.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -176,22 +180,12 @@ def exact_falling_moment(n, w: IntWindow, r):
         raise DomainError(f"need r >= 0, got {r}")
     if r == 0:
         return Fraction(1)
-    hi = min(w.b, n)
-    total = Fraction(0)
-    r_fact = math.factorial(r)
-
-    def rec(k_min, r_left, budget, denom, prod):
-        nonlocal total
-        if r_left == 0:
-            total += Fraction(r_fact, denom) * prod
-            return
-        for k in range(k_min, hi + 1):
-            if k > budget:
-                break
-            kp = Fraction(1, k)
-            for l in range(1, min(r_left, budget // k) + 1):
-                rec(k + 1, r_left - l, budget - k * l,
-                    denom * math.factorial(l), prod * kp**l)
-
-    rec(w.a, r, n, 1, Fraction(1))
-    return total
+    d = math.lcm(*range(w.a, min(w.b, n) + 1))
+    inv = [d // k if w.a <= k <= w.b else 0 for k in range(n + 1)]
+    f = [1] + [0] * n
+    for j in range(r - 1):
+        # f_j vanishes below j*a
+        f = [sum(f[t] * inv[s - t] for t in range(max(j * w.a, s - w.b), s - w.a + 1))
+             for s in range(n + 1)]
+    harmonic = list(itertools.accumulate(inv))
+    return Fraction(sum(f[t] * harmonic[n - t] for t in range(n + 1)), d**r)

@@ -151,8 +151,8 @@ def _sliced_moments(r, g, d, c, cfg):
     prev_kinks = [g, d]
     yield prev_fn(c), 0.0
     for j in range(2, r + 1):
-        if j * g >= c:
-            yield 0.0, 0.0  # the region is empty or degenerate
+        if j * g >= c - _BND_EPS:
+            yield 0.0, 0.0  # the region is empty or thinner than _BND_EPS
             continue
         if j > 2:
             prev_fn, prev_kinks = _build_I_level(

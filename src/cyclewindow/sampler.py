@@ -3,21 +3,24 @@
 Only cycle types are ever materialized, never full permutations.  Single
 draws follow the constructions stated in the interface contract
 (stick-breaking at sigma = 1, Chinese restaurant otherwise); the bulk
-estimator uses the equivalent independent-Bernoulli spacing representation
-of the Ewens cycle counts, which vectorizes, consumes exactly n uniforms per
-draw, and is validated against the single-draw constructions in the tests.
+estimator uses the Feller coupling of the Ewens cycle counts (Arratia,
+Barbour and Tavare, Logarithmic Combinatorial Structures, 2003, sec. 1.1):
+independent Bernoulli cycle openings whose spacings are the cycle lengths.
+It jumps from one opening to the next by inverting the cumulative hazard, so
+a draw costs one exponential per cycle, and it is validated against the
+single-draw constructions and exact laws in the tests.
 
 Randomness: Philox counter-based generators.  estimate_pmf(seed, workers)
-seeds one SeedSequence(seed), spawns `workers` children in order, and worker
-w handles a contiguous block of draws with generator Philox(child_w); tallies
-merge in worker order, so results are bit-reproducible for a fixed
+seeds one SeedSequence(seed) and spawns `workers` children in order;
+substream w draws a contiguous block of the samples with generator
+Philox(child_w).  The substreams run one after another in this process and
+their tallies merge in order, so results are bit-reproducible for a fixed
 (seed, samples, workers) triple.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +29,7 @@ from .errors import DomainError
 from .exact_finite import normalized_window
 from .limit_integrals import Interval
 
-_CHUNK_BUDGET = 8_000_000  # uniforms per vectorized chunk
+_ROW_CAP = 65_536  # draws advanced together; bounds the per-chunk arrays
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,8 @@ def sample_cycle_lengths(n, sigma, gen):
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if sigma <= 0:
-        raise DomainError(f"need sigma > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise DomainError(f"need finite sigma > 0, got {sigma}")
     if sigma == 1:
         lengths = []
         m = n
@@ -135,36 +138,29 @@ def sample_cycle_lengths(n, sigma, gen):
     return CycleLengths(tuple(sizes), n)
 
 
-def _tally_chunk(gen, rows, n, theta, a, b, counts):
-    # Bernoulli spacing representation: xi_i ~ Bern(theta/(theta+i-1)) for
-    # i = 1..n plus a forced one at n+1; gaps between ones are cycle lengths.
-    p = theta / (theta + np.arange(n, dtype=np.float64))
-    xi = gen.random((rows, n)) < p
-    xi = np.concatenate([xi, np.ones((rows, 1), dtype=bool)], axis=1)
-    rr, cc = np.nonzero(xi)
-    gaps = np.diff(cc)
-    same_row = np.diff(rr) == 0
-    lengths = gaps[same_row]
-    row_of = rr[1:][same_row]
-    assert bool(xi[:, 0].all())
-    assert np.all(np.bincount(row_of, weights=lengths, minlength=rows) == n)
-    hits = (lengths >= a) & (lengths <= b)
-    per_row = np.bincount(row_of[hits], minlength=rows)
-    tallied = np.bincount(per_row, minlength=len(counts))
-    counts += tallied[: len(counts)]
-
-
-def _worker_tally(args):
-    n, theta, a, b, draws, child, support = args
-    gen = np.random.Generator(np.random.Philox(child))
-    counts = np.zeros(support, dtype=np.int64)
-    rows_per = max(1, _CHUNK_BUDGET // (n + 1))
-    left = draws
-    while left > 0:
-        rows = min(left, rows_per)
-        _tally_chunk(gen, rows, n, theta, a, b, counts)
-        left -= rows
-    return counts
+def _feller_tally(gen, draws, hazard, a, b, counts):
+    # Feller coupling: position 1 opens a cycle and position i >= 2 opens one
+    # with probability p_i = theta/(theta+i-1); the gaps between openings,
+    # with a closing one at n+1, are the cycle lengths.  hazard[m-1] is
+    # -sum_{i=2}^{m} log(1-p_i), so the next opening after j is the first m
+    # whose hazard exceeds hazard[j-1] + Exp(1).
+    n = len(hazard)
+    for start in range(0, draws, _ROW_CAP):
+        rows = min(_ROW_CAP, draws - start)
+        pos = np.ones(rows, dtype=np.int64)
+        hits = np.zeros(rows, dtype=np.int64)
+        total = np.zeros(rows, dtype=np.int64)
+        while len(pos):
+            jump = hazard[pos - 1] + gen.standard_exponential(len(pos))
+            nxt = np.searchsorted(hazard, jump, side="right") + 1
+            length = np.minimum(nxt, n + 1) - pos
+            hits += (length >= a) & (length <= b)
+            total += length
+            done = nxt > n
+            assert np.all(total[done] == n)
+            counts += np.bincount(hits[done], minlength=len(counts))
+            live = ~done
+            pos, hits, total = nxt[live], hits[live], total[live]
 
 
 def estimate_pmf(n, iv: Interval, sigma, samples, seed, workers=1):
@@ -175,29 +171,20 @@ def estimate_pmf(n, iv: Interval, sigma, samples, seed, workers=1):
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if sigma <= 0:
-        raise DomainError(f"need sigma > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise DomainError(f"need finite sigma > 0, got {sigma}")
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples}")
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
     w = normalized_window(n, iv.gamma, iv.delta)
-    support = n // w.a + 1
-    children = np.random.SeedSequence(seed).spawn(workers)
+    # log1p(theta/(i-1)) = -log(1-p_i) stays finite where p_i rounds to 1
+    hazard = np.concatenate(([0.0], np.cumsum(np.log1p(float(sigma) / np.arange(1, n)))))
+    counts = np.zeros(n // w.a + 1, dtype=np.int64)
     base, rem = divmod(samples, workers)
-    jobs = [
-        (n, float(sigma), w.a, w.b, base + (i < rem), children[i], support)
-        for i in range(workers)
-        if base + (i < rem) > 0
-    ]
-    if len(jobs) == 1:
-        tallies = [_worker_tally(jobs[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            tallies = list(pool.map(_worker_tally, jobs))
-    counts = np.zeros(support, dtype=np.int64)
-    for t in tallies:
-        counts += t
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(workers)):
+        gen = np.random.Generator(np.random.Philox(child))
+        _feller_tally(gen, base + (i < rem), hazard, w.a, w.b, counts)
     pmf_hat = counts / samples
     stderr = np.sqrt(pmf_hat * (1.0 - pmf_hat) / samples)
     return EstimateResult(

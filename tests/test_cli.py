@@ -186,6 +186,13 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in err
 
+    def test_non_finite_sigma_exits_2(self, capsys):
+        rc, _, err = run_capture(capsys, "sample", "--n", "10", "--gamma",
+                                 "1/4", "--delta", "1/2", "--draws", "100",
+                                 "--seed", "1", "--sigma", "inf")
+        assert rc == 2
+        assert "error:" in err
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(["no-such-command"]) == 2
 

@@ -134,6 +134,11 @@ class TestExactFallingMoment:
             for r in range(5):
                 assert exact_falling_moment(n, w, r) == falling_moment(pmf, r)
 
+    def test_agrees_with_rational_dp_at_n300(self):
+        w = IntWindow(20, 300)
+        assert exact_falling_moment(300, w, 3) == \
+            falling_moment(exact_pmf(300, w, rational=True), 3)
+
     def test_single_length_window_matches_joint(self):
         for n in (10, 17, 30):
             for k in (2, 3, 5):

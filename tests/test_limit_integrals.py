@@ -266,6 +266,16 @@ class TestPLimit:
         for a, b in zip(got, want):
             assert a == pytest.approx(b, abs=1e-12)
 
+    @pytest.mark.parametrize("g,exact", [(1 / 3 - 1e-15, Fraction(1, 3)),
+                                         (0.25 - 1e-16, Fraction(1, 4))])
+    def test_gamma_a_hair_below_reciprocal(self, g, exact):
+        # the top order's slice is thinner than the level tables resolve
+        got = p_limit(Interval(g, 1.0)).as_floats()
+        want = p_limit(Interval(exact, 1)).as_floats()
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, abs=1e-14)
+
     def test_deep_window_box_moments(self):
         # gamma near 1/20, delta near 1/10: support 20, 18 nested levels.
         # While r * delta <= 1 the slice never binds, so q_r = log(delta/gamma)^r.

@@ -18,6 +18,31 @@ def gen(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def ewens_window_law(n, a, b, theta):
+    """Law of the count of cycles with length in [a, b] under Ewens(theta).
+
+    Weighted cycle-type enumeration: a type with c_k cycles of length k and
+    K cycles in all has probability theta^K n! / ((theta)_n prod k^c_k c_k!).
+    """
+    def partitions(m, top):
+        if m == 0:
+            yield []
+            return
+        for k in range(min(m, top), 0, -1):
+            for rest in partitions(m - k, k):
+                yield [k] + rest
+
+    rising = math.prod(theta + i for i in range(n))
+    law = {}
+    for parts in partitions(n, n):
+        weight = theta ** len(parts) * math.factorial(n) / rising
+        for k in set(parts):
+            weight /= k ** parts.count(k) * math.factorial(parts.count(k))
+        hits = sum(a <= k <= b for k in parts)
+        law[hits] = law.get(hits, 0.0) + weight
+    return [law.get(i, 0.0) for i in range(max(law) + 1)]
+
+
 class TestSingleDraws:
     def test_n1_is_deterministic(self):
         for sigma in (0.5, 1.0, 3.0):
@@ -94,6 +119,23 @@ class TestSingleDraws:
 
 
 class TestEstimatePmf:
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    def test_matches_weighted_cycle_type_enumeration(self, sigma):
+        # n = 6, window [1/3, 1/2] -> cycle lengths 2..3
+        res = estimate_pmf(6, Interval(Fraction(1, 3), Fraction(1, 2)), sigma,
+                           60_000, seed=17)
+        want = ewens_window_law(6, 2, 3, sigma)
+        assert math.fsum(want) == pytest.approx(1.0, abs=1e-12)
+        assert len(res.pmf_hat) == len(want)
+        for k, (p, w) in enumerate(zip(res.pmf_hat, want)):
+            se = math.sqrt(w * (1 - w) / res.samples)
+            assert abs(p - w) <= 4 * se + 1e-9, (sigma, k)
+
+    def test_huge_sigma_gives_only_fixed_points(self):
+        # P(a non-fixed point) is about n^2/sigma; the hazard stays finite
+        res = estimate_pmf(50, Interval(0.01, 0.03), 1e20, 2_000, seed=6)
+        assert res.counts[50] == 2_000
+
     def test_matches_exact_weighted_law(self):
         # n = 4, sigma = 2, window [1, 1]: fixed-point count law is
         # (24, 32, 48, 0, 16)/120 by weighted cycle-type enumeration.
@@ -164,6 +206,14 @@ class TestEstimatePmf:
             estimate_pmf(10, iv, 1.0, 0, seed=0)
         with pytest.raises(DomainError):
             estimate_pmf(10, iv, 1.0, 100, seed=0, workers=0)
+
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma_refused(self, sigma):
+        with pytest.raises(DomainError):
+            estimate_pmf(10, Interval(0.25, 0.5), sigma, 100, seed=0)
+        with pytest.raises(DomainError):
+            sample_cycle_lengths(10, sigma, gen(0))
 
 
 class TestResultTypes:
