@@ -10,10 +10,15 @@ class InvalidMomentsError(ValueError):
 
 
 class ToleranceNotMet(RuntimeError):
-    """Adaptive refinement exhausted its depth budget before reaching tolerance.
+    """Adaptive refinement could not reach its tolerance.
 
-    Carries the best available value and the achieved error estimate so a
-    caller can decide whether the partial answer is still usable.
+    Raised when the summed error estimate exceeds the tolerance after the
+    depth budget is spent, when a panel estimate is not finite, and when one
+    integral needs more live panels than the refinement allows.
+
+    Carries the best available value and the achieved error estimate (None
+    when refinement stopped early) so a caller can decide whether the
+    partial answer is still usable.
     """
 
     def __init__(self, message, value=None, achieved=None, requested=None):

@@ -10,16 +10,17 @@ one-parameter recurrence for windows of the form (gamma, 1].
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from numpy.polynomial.chebyshev import Chebyshev
+import numpy as np
+from numpy.polynomial import polyutils
+from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebvander
 
 from .errors import DomainError
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import QuadratureConfig, integrate, integrate_many
 from .quasi_poisson import MomentVector, pmf_from_falling_moments
 from .special_fn import dilog
 
@@ -31,6 +32,8 @@ __all__ = [
 
 _CHEB_DEG = 32
 _BND_EPS = 1e-13
+_CHEB_PTS = chebpts1(_CHEB_DEG + 1)
+_CHEB_VANDER = chebvander(_CHEB_PTS, _CHEB_DEG)
 
 
 @dataclass(frozen=True)
@@ -66,34 +69,35 @@ class _PiecewiseCheb:
 
     left/right give the value outside the tabulated range; None clamps to the
     nearest endpoint (for queries that only stray past it by roundoff).
-    Pieces are evaluated by scalar Clenshaw in numpy's mapdomain/chebval
-    operation order: bit-identical to Chebyshev.__call__, minus its overhead.
+    Calls take arrays: each point's piece is found by searchsorted and all
+    points run one Clenshaw recurrence together, in numpy's mapdomain/chebval
+    operation order, so values are bit-identical to Chebyshev.__call__.
     """
 
     def __init__(self, bounds, chebs, left, right):
-        self.bounds = bounds
-        self.pieces = [(*map(float, ch.mapparms()), ch.coef[::-1].tolist())
-                       for ch in chebs]
+        self.bounds = np.array(bounds, dtype=float)
+        self.off, self.scl = np.array([ch.mapparms() for ch in chebs]).T
+        # row k holds coefficient k of every piece, highest degree first
+        self.coef = np.array([ch.coef[::-1] for ch in chebs]).T.copy()
         self.left = left
         self.right = right
 
     def __call__(self, t):
-        if t <= self.bounds[0]:
-            if self.left is not None:
-                return self.left
-            t = self.bounds[0]
-        elif t >= self.bounds[-1]:
-            if self.right is not None:
-                return self.right
-            t = self.bounds[-1]
-        i = min(bisect.bisect_right(self.bounds, t) - 1, len(self.pieces) - 1)
-        off, scl, coef = self.pieces[i]
-        x = off + scl * t
+        t = np.asarray(t, dtype=float)
+        b = self.bounds
+        tc = np.clip(t, b[0], b[-1])
+        i = np.minimum(np.searchsorted(b, tc, side="right") - 1, len(b) - 2)
+        x = self.off[i] + self.scl[i] * tc
         x2 = 2 * x
-        c1, c0 = coef[0], coef[1]
-        for a in coef[2:]:
-            c0, c1 = a - c1, c0 + c1 * x2
-        return c0 + c1 * x
+        c1, c0 = self.coef[0][i], self.coef[1][i]
+        for a in self.coef[2:]:
+            c0, c1 = a[i] - c1, c0 + c1 * x2
+        out = c0 + c1 * x
+        if self.left is not None:
+            out = np.where(t <= b[0], self.left, out)
+        if self.right is not None:
+            out = np.where(t >= b[-1], self.right, out)
+        return out
 
 
 def _dedupe(points, eps=_BND_EPS):
@@ -105,11 +109,22 @@ def _dedupe(points, eps=_BND_EPS):
 
 
 def _interp_pieces(bounds, fn):
-    return [
-        Chebyshev.interpolate(lambda ts: [fn(t) for t in ts], _CHEB_DEG,
-                              domain=[a, b])
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    """Degree-32 Chebyshev interpolants of fn, one per [bounds[i], bounds[i+1]].
+
+    fn maps the flat array of every piece's 33 nodes to values in one call.
+    Nodes and coefficients are computed as Chebyshev.interpolate computes them.
+    """
+    domains = list(zip(bounds[:-1], bounds[1:]))
+    nodes = np.array([polyutils.mapdomain(_CHEB_PTS, Chebyshev.window, dom)
+                      for dom in domains])
+    order = _CHEB_DEG + 1
+    chebs = []
+    for dom, ys in zip(domains, np.reshape(fn(nodes.ravel()), nodes.shape)):
+        c = np.dot(_CHEB_VANDER.T, ys)
+        c[0] /= order
+        c[1:] /= 0.5 * order
+        chebs.append(Chebyshev(c, domain=list(dom)))
+    return chebs
 
 
 # --- nested reduction of the sliced-box integral ----------------------------
@@ -120,14 +135,14 @@ def _interp_pieces(bounds, fn):
 # t in {a*gamma + b*delta : a+b = m}, is 0 below m*gamma and constant
 # (log(delta/gamma))^m above m*delta, so each level is tabulated as
 # kink-aligned Chebyshev pieces and quadrature panels split at mapped kinks.
+# A level's table nodes are integrated together in one integrate_many batch.
 
-def _eval_I(t, m, g, d, prev_fn, prev_kinks, cfg):
-    top = min(d, t - (m - 1) * g)
-    if top <= g:
-        return 0.0, 0.0
-    brks = [t - k for k in prev_kinks if g < t - k < top]
-    return integrate(lambda z: prev_fn(t - z) / z, g, top, cfg,
-                     breakpoints=brks)
+def _integrate_I(ts, m, g, d, prev_fn, prev_kinks, cfg):
+    """(values, errors) of I_m at every t in the flat array ts."""
+    tops = np.minimum(d, ts - (m - 1) * g)
+    brks = [[t - k for k in prev_kinks] for t in ts.tolist()]
+    return integrate_many(lambda z, own: prev_fn(ts[own, None] - z) / z,
+                          [g] * len(ts), tops, cfg, brks)
 
 
 def _build_I_level(m, g, d, cap, prev_fn, prev_kinks, cfg):
@@ -135,7 +150,7 @@ def _build_I_level(m, g, d, cap, prev_fn, prev_kinks, cfg):
     kinks = sorted(a * g + (m - a) * d for a in range(m, -1, -1))
     bounds = _dedupe([lo, hi] + [k for k in kinks if lo < k < hi])
     pieces = _interp_pieces(
-        bounds, lambda t: _eval_I(t, m, g, d, prev_fn, prev_kinks, cfg)[0])
+        bounds, lambda ts: _integrate_I(ts, m, g, d, prev_fn, prev_kinks, cfg)[0])
     above = math.log(d / g) ** m if hi >= m * d - _BND_EPS else None
     return _PiecewiseCheb(bounds, pieces, left=0.0, right=above), kinks
 
@@ -147,9 +162,9 @@ def _sliced_moments(r, g, d, c, cfg):
     c - gamma: order m+1 reads I_m(c - z) for z >= gamma, the widest use.
     """
     cfg = cfg or QuadratureConfig()
-    prev_fn = lambda t: math.log(min(d, t) / g) if min(d, t) > g else 0.0
+    prev_fn = lambda t: np.log(np.clip(t, g, d) / g)
     prev_kinks = [g, d]
-    yield prev_fn(c), 0.0
+    yield float(prev_fn(c)), 0.0
     for j in range(2, r + 1):
         if j * g >= c - _BND_EPS:
             yield 0.0, 0.0  # the region is empty or thinner than _BND_EPS
@@ -157,8 +172,8 @@ def _sliced_moments(r, g, d, c, cfg):
         if j > 2:
             prev_fn, prev_kinks = _build_I_level(
                 j - 1, g, d, c - g, prev_fn, prev_kinks, cfg)
-        val, err = _eval_I(c, j, g, d, prev_fn, prev_kinks, cfg)
-        yield val, err + (j - 1) * cfg.abs_tol
+        val, err = _integrate_I(np.array([c]), j, g, d, prev_fn, prev_kinks, cfg)
+        yield float(val[0]), float(err[0]) + (j - 1) * cfg.abs_tol
 
 
 def sliced_cube_integral(r, iv: Interval, c, cfg=None, with_error=False):
@@ -217,31 +232,27 @@ def q2_closed_form(iv: Interval):
 # for integers m > j; levels are tabulated on the argument ranges actually
 # reachable from the target gamma.
 
-def _eval_Q(x, j, prev_fn, cfg):
-    top = 1.0 - (j - 1) * x
-    if top <= x:
-        return 0.0
+def _integrate_Q(xs, j, prev_fn, cfg):
+    """Q_j at every x in the flat array xs; kinks at z = 1 - m*x for m >= j."""
     brks = []
-    m = j - 1
-    while True:
-        zb = 1.0 - m * x
-        if zb <= x:
-            break
-        if zb < top:
-            brks.append(zb)
-        m += 1
-    val, _ = integrate(lambda z: prev_fn(x / (1.0 - z)) / z, x, top, cfg,
-                       breakpoints=brks)
-    return val
+    for x in xs.tolist():
+        row, m = [], j
+        while 1.0 - m * x > x:
+            row.append(1.0 - m * x)
+            m += 1
+        brks.append(row)
+    vals, _ = integrate_many(lambda z, own: prev_fn(xs[own, None] / (1.0 - z)) / z,
+                             xs, 1.0 - (j - 1) * xs, cfg, brks)
+    return vals
 
 
 def _build_Q_level(j, lo, cfg, prev_fn):
     hi = 1.0 / j
     if lo >= hi - _BND_EPS:
-        return lambda x: 0.0
+        return lambda x: np.zeros(np.shape(x))
     inner = [1.0 / m for m in range(j + 1, int(1.0 / lo) + 2) if lo < 1.0 / m < hi]
     bounds = _dedupe([lo, hi] + inner)
-    pieces = _interp_pieces(bounds, lambda x: _eval_Q(x, j, prev_fn, cfg))
+    pieces = _interp_pieces(bounds, lambda xs: _integrate_Q(xs, j, prev_fn, cfg))
     return _PiecewiseCheb(bounds, pieces, left=None, right=0.0)
 
 
@@ -260,12 +271,12 @@ def Q_recurrence(k, gamma, cfg=None):
         return -math.log(g)
     if cfg is None:
         cfg = QuadratureConfig()
-    prev_fn = lambda x: -math.log(x) if x < 1.0 else 0.0
+    prev_fn = lambda x: -np.log(np.minimum(x, 1.0))
     for j in range(2, k):
         # smallest argument reachable at depth j from the target gamma
         lo = g / (1.0 - (k - j) * g)
         prev_fn = _build_Q_level(j, lo, cfg, prev_fn)
-    return _eval_Q(g, k, prev_fn, cfg)
+    return float(_integrate_Q(np.array([g]), k, prev_fn, cfg)[0])
 
 
 # --- limiting pmf and derived quantities -------------------------------------
@@ -380,8 +391,8 @@ def ewens_lambda(iv: Interval, sigma, cfg=None):
     sum_m eps^{sigma+m}/(sigma+m) after substituting t = 1-x.
     """
     s = float(sigma)
-    if s <= 0:
-        raise DomainError(f"need sigma > 0, got {sigma}")
+    if not (math.isfinite(s) and s > 0):
+        raise DomainError(f"need finite sigma > 0, got {sigma}")
     if cfg is None:
         cfg = QuadratureConfig()
     g, d = iv.g, iv.d

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +197,12 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in err
 
+    def test_nan_sigma_ewens_lambda_exits_2(self, capsys):
+        rc, _, err = run_capture(capsys, "ewens-lambda", "--gamma", "1/4",
+                                 "--delta", "1/3", "--sigma", "nan")
+        assert rc == 2
+        assert "error:" in err
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(["no-such-command"]) == 2
 
@@ -214,3 +224,15 @@ class TestExitCodes:
                                  "0.5", "--delta", "1", "--csv")
         assert rc == 0
         assert out.splitlines()[0] == "i,pmf"
+
+
+@pytest.mark.parametrize("module", ["cyclewindow", "cyclewindow.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", module, "gamma-star", "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)["results"]["gamma_star"]
+    assert got == pytest.approx(1.0 / (1.0 + math.exp(0.5)), abs=1e-12)

@@ -9,7 +9,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import Chebyshev
 
 from cyclewindow.errors import DomainError
 from cyclewindow.limit_integrals import (
@@ -43,7 +45,7 @@ class TestPiecewiseCheb:
     def test_bit_identical_to_numpy_in_every_piece(self):
         # A level-like table: kink at 0.3, pieces of uneven width.
         bounds = [0.15, 0.3, 0.42, 0.9]
-        level = lambda t: math.log(t / 0.15) * math.log(max(t, 0.3) / 0.3 + 1.0)
+        level = lambda t: np.log(t / 0.15) * np.log(np.maximum(t, 0.3) / 0.3 + 1.0)
         chebs = _interp_pieces(bounds, level)
         table = _PiecewiseCheb(bounds, chebs, left=0.0, right=None)
         rng = random.Random(20260815)
@@ -52,9 +54,32 @@ class TestPiecewiseCheb:
                 t = rng.uniform(a, b)
                 assert table(t) == float(cheb(t))
 
+    def test_array_call_bit_identical_to_numpy(self):
+        bounds = [0.15, 0.3, 0.42, 0.9]
+        level = lambda t: np.log(t / 0.15) * np.log(np.maximum(t, 0.3) / 0.3 + 1.0)
+        chebs = _interp_pieces(bounds, level)
+        table = _PiecewiseCheb(bounds, chebs, left=0.0, right=None)
+        rng = np.random.default_rng(20260815)
+        ts = np.concatenate([rng.uniform(a, b, 2000)
+                             for a, b in zip(bounds, bounds[1:])])
+        rng.shuffle(ts)  # one call mixes points of every piece
+        got = table(ts)
+        assert got.shape == ts.shape
+        for t, v in zip(ts.tolist(), got.tolist()):
+            cheb = chebs[min(np.searchsorted(bounds, t, side="right") - 1, 2)]
+            assert v == float(cheb(t))
+
+    def test_interp_pieces_match_chebyshev_interpolate(self):
+        bounds = [0.1, 0.25, 0.6]
+        chebs = _interp_pieces(bounds, np.exp)
+        for a, b, cheb in zip(bounds, bounds[1:], chebs):
+            want = Chebyshev.interpolate(np.exp, 32, domain=[a, b])
+            assert list(cheb.coef) == list(want.coef)
+            assert list(cheb.domain) == [a, b]
+
     def test_outside_range(self):
         bounds = [0.2, 0.5]
-        table = _PiecewiseCheb(bounds, _interp_pieces(bounds, math.exp),
+        table = _PiecewiseCheb(bounds, _interp_pieces(bounds, np.exp),
                                left=0.0, right=None)
         assert table(0.1) == 0.0
         assert table(0.7) == table(0.5)
@@ -179,6 +204,12 @@ class TestQRecurrence:
         for k, g in [(2, 0.35), (3, 0.2), (3, 0.3), (4, 0.18)]:
             assert Q_recurrence(k, g) == pytest.approx(
                 q_limit(k, Interval(g, 1.0)), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("k,g", [(5, 0.05), (5, 0.1), (5, 0.15),
+                                     (6, 0.05), (6, 0.1), (6, 0.13)])
+    def test_agrees_with_general_moment_path_k5_k6(self, k, g):
+        assert Q_recurrence(k, g) == pytest.approx(
+            q_limit(k, Interval(g, 1.0)), rel=1e-9, abs=1e-7)
 
     def test_near_threshold_scaling(self):
         # As gamma -> 1/k the moment collapses like the volume of a
@@ -396,6 +427,11 @@ class TestEwensLambda:
             ewens_lambda(Interval(0.25, 0.5), 0.0)
         with pytest.raises(DomainError):
             ewens_lambda(Interval(0.25, 0.5), -1.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_refused(self, sigma):
+        with pytest.raises(DomainError):
+            ewens_lambda(Interval(Fraction(1, 4), Fraction(1, 3)), sigma)
 
 
 class TestScipyCrossCheck:

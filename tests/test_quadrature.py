@@ -1,13 +1,15 @@
 """Adaptive quadrature engine: rule construction, refinement, failure modes."""
 
 import math
+import time
 
+import numpy as np
 import pytest
 
 from cyclewindow.errors import DomainError, ToleranceNotMet
 from cyclewindow.quadrature import (
-    GK15_GAUSS_WEIGHTS, GK15_NODES, GK15_WEIGHTS, RULE_GK15, RULE_SIMPSON,
-    QuadratureConfig, integrate,
+    GK15_GAUSS_WEIGHTS, GK15_NODES, GK15_WEIGHTS, MAX_LIVE_PANELS, RULE_GK15,
+    RULE_SIMPSON, QuadratureConfig, integrate, integrate_many,
 )
 
 
@@ -117,3 +119,120 @@ class TestIntegrate:
                            QuadratureConfig(abs_tol=1e-9))
         want = 2.0 / 1e-3 * math.atan(0.5 / 1e-3)
         assert abs(val - want) < 1e-6
+
+    @pytest.mark.parametrize("rule", [RULE_GK15, RULE_SIMPSON])
+    def test_nan_integrand_raises(self, rule):
+        with pytest.raises(ToleranceNotMet, match="non-finite"):
+            integrate(lambda x: float("nan"), 0.0, 1.0,
+                      QuadratureConfig(panel_rule=rule))
+
+    @pytest.mark.parametrize("rule", [RULE_GK15, RULE_SIMPSON])
+    def test_infinite_integrand_raises(self, rule):
+        f = lambda x: math.inf if x > 0.7 else 1.0
+        with pytest.raises(ToleranceNotMet, match="non-finite"):
+            integrate(f, 0.0, 1.0, QuadratureConfig(panel_rule=rule))
+
+
+# Integrand families in vectorized (x, owner) form and their scalar twins.
+_FAMILY = (np.exp, lambda x: np.sqrt(np.abs(x - 1 / 3)),
+           lambda x: 1.0 / (1.0 + 25.0 * x * x),
+           lambda x: np.cos(3 * x))
+
+
+def _batch_integrand(x, own):
+    out = np.empty_like(x)
+    for p, fn in enumerate(_FAMILY):
+        rows = own % len(_FAMILY) == p
+        out[rows] = fn(x[rows])
+    return out
+
+
+def _scalar_integrand(i):
+    return lambda x: float(_batch_integrand(np.array([[x]]), np.array([i]))[0, 0])
+
+
+class TestIntegrateMany:
+    LOS = [0.0, 0.0, 0.0, -1.0, 1.0, 0.2, 0.5, 2.0]
+    HIS = [1.0, 1.0, 1.0, 2.0, 1.0, 0.9, 0.25, 5.0]
+    BRKS = [(), (1 / 3, 7.0), (0.5,), (0.0, 1.0, 0.0), (), (1 / 3,), (0.3,), (3.0, 4.0)]
+
+    @pytest.mark.parametrize("cfg", [
+        QuadratureConfig(),
+        QuadratureConfig(abs_tol=1e-300, rel_tol=1e-9),
+        QuadratureConfig(abs_tol=1e-8, max_depth=12),
+    ])
+    def test_equals_per_interval_integrate(self, cfg):
+        vals, errs = integrate_many(_batch_integrand, self.LOS, self.HIS, cfg,
+                                    self.BRKS)
+        assert vals.shape == errs.shape == (len(self.LOS),)
+        for i, (lo, hi, brks) in enumerate(zip(self.LOS, self.HIS, self.BRKS)):
+            want, want_err = integrate(_scalar_integrand(i), lo, hi, cfg, brks)
+            assert abs(vals[i] - want) <= 1e-15 * max(1.0, abs(want))
+            assert abs(errs[i] - want_err) <= 1e-15 * max(1.0, abs(want))
+
+    def test_empty_entries_are_zero(self):
+        vals, errs = integrate_many(_batch_integrand, [0.0, 1.0, 3.0],
+                                    [1.0, 1.0, 2.0])
+        assert vals[1] == vals[2] == errs[1] == errs[2] == 0.0
+        assert vals[0] == pytest.approx(math.e - 1.0, abs=1e-13)
+
+    def test_empty_batch(self):
+        vals, errs = integrate_many(_batch_integrand, [], [])
+        assert vals.shape == errs.shape == (0,)
+
+    def test_simpson_rule_runs_per_integral(self):
+        cfg = QuadratureConfig(abs_tol=1e-10, panel_rule=RULE_SIMPSON)
+        vals, _ = integrate_many(_batch_integrand, [0.0, 0.2], [1.0, 0.9], cfg,
+                                 [(), (1 / 3,)])
+        assert vals[0] == pytest.approx(math.e - 1.0, abs=1e-10)
+        want = (2 / 3) * ((1 / 3 - 0.2) ** 1.5 + (0.9 - 1 / 3) ** 1.5)
+        assert vals[1] == pytest.approx(want, abs=1e-9)
+
+    def test_failure_names_the_failing_integral(self):
+        # integral 1 (a sqrt kink with no breakpoint) cannot meet 1e-15 at
+        # depth 4; the others can, and do not change its diagnostics
+        cfg = QuadratureConfig(abs_tol=1e-15, max_depth=4)
+        with pytest.raises(ToleranceNotMet) as alone:
+            integrate(_scalar_integrand(1), 0.0, 1.0, cfg)
+        with pytest.raises(ToleranceNotMet, match="integral 1:") as batch:
+            integrate_many(_batch_integrand, [0.0, 0.0, 0.5], [1.0, 1.0, 1.0],
+                           QuadratureConfig(abs_tol=1e-15, max_depth=4))
+        assert batch.value.value == alone.value.value
+        assert batch.value.achieved == alone.value.achieved
+        assert batch.value.requested == alone.value.requested
+
+    def test_each_integral_meets_its_own_tolerance(self):
+        # one kink integral spends 71% of its 1e-9 budget; three in a batch
+        # pass, because each is held to its own tolerance, not their sum
+        cfg = QuadratureConfig(abs_tol=1e-9)
+        _, err = integrate(_scalar_integrand(1), 0.0, 1.0, cfg)
+        assert 0.5e-9 < err <= 1e-9
+        his = [1.0 if i % 4 == 1 else 0.0 for i in range(10)]  # 1, 5, 9
+        _, errs = integrate_many(_batch_integrand, [0.0] * 10, his, cfg)
+        assert list(errs[[1, 5, 9]]) == [err] * 3
+        assert errs.sum() > 1e-9
+
+    def test_nan_in_one_integral_names_it(self):
+        f = lambda x, own: np.where(own[:, None] == 2, np.nan, x)
+        with pytest.raises(ToleranceNotMet, match="integral 2: non-finite"):
+            integrate_many(f, [0.0] * 3, [1.0] * 3)
+
+    def test_noisy_integrand_hits_live_panel_cap_fast(self):
+        rng = np.random.default_rng(20260815)
+        started = time.perf_counter()
+        with pytest.raises(ToleranceNotMet, match=f"more than {MAX_LIVE_PANELS}"):
+            integrate_many(lambda x, own: rng.random(x.shape), [0.0], [1.0])
+        assert time.perf_counter() - started < 1.0
+
+    def test_widest_known_refinement_fits_under_the_cap(self):
+        # refined into rounding noise down to max_depth: 38,018 live panels
+        widest = 0
+
+        def needle(x, own):
+            nonlocal widest
+            widest = max(widest, len(x))
+            return 1.0 / (1e-6 + (x - 0.5) ** 2)
+
+        vals, _ = integrate_many(needle, [0.0], [1.0])
+        assert abs(vals[0] - 2.0 / 1e-3 * math.atan(0.5 / 1e-3)) < 1e-9
+        assert 10_000 < widest <= MAX_LIVE_PANELS
