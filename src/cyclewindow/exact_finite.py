@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DomainError
 from .quasi_poisson import Pmf
 
 RATIONAL_LIMIT = 200
+DP_TABLE_MAX_BYTES = 1 << 28  # exact_pmf refuses larger tables
 
 
 @dataclass(frozen=True)
@@ -96,13 +100,28 @@ def joint_falling_moment(n, spec: CycleSpec):
 def exact_pmf(n, w: IntWindow, rational=None):
     """Exact distribution of the number of cycles with length in [w.a, w.b].
 
-    Recursion on the cycle containing element 1 (whose length is uniform on
-    [1, n]): P_n(i) = (1/n) sum_{k=1}^n P_{n-k}(i - [k in window]).  The inner
-    sum is maintained via running prefix sums over the already-filled rows, so
-    the fill is O(n * support) rather than O(n^2 * support).
+    Recursion on the cycle containing element 1, whose length k is uniform
+    on [1, n]: P_n(i) = (1/n) sum_{k=1}^n P_{n-k}(i - [k in window]).  With
+    cum_m = P_0 + ... + P_m and W_m = cum_{m-a} - cum_{m-min(b,m)-1} (rows
+    outside 0..m-1 read as zero), this is P_m = (cum_{m-1} + D_m)/m where
+    D_m(i) = W_m(i-1) - W_m(i).  In u_m = cum_m/(m+1) it becomes
 
-    rational=None picks exact Fractions for n <= 200 and floats beyond
-    (float error grows like O(n * eps) through the prefix accumulation).
+        u_m = u_{m-1} + D_m / (m(m+1)),    u_0 = P_0 = [1, 0, ...].
+
+    D_m reads only rows at or below m - a, so the a rows of a block
+    m = s..s+a-1 need only rows already filled: each block is one gather of
+    its window sums and one cumulative sum down m.  The last row is
+    P_n = u_{n-1} + D_n/n, which avoids differencing cum.  The fill is
+    O(n * support) numpy work in about n/a blocks, on an (n+1) x support
+    table of cum rows.
+
+    rational=None picks exact Fractions for n <= 200 and floats beyond.
+    Floats use a float64 table; tiny negatives left by rounding are set to
+    0.  Fractions run the same code on Python ints scaled by n!: for m < n
+    the denominators of cum_m, u_m and D_m/(m(m+1)) divide (m+1)!, and D_n/n
+    has one dividing n!, so every // is exact and n! * P_n(i) is the number
+    of permutations with i cycles in the window.  A table that would exceed
+    DP_TABLE_MAX_BYTES is refused with DomainError rather than allocated.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -110,29 +129,44 @@ def exact_pmf(n, w: IntWindow, rational=None):
         rational = n <= RATIONAL_LIMIT
     if w.a > n:
         return Pmf((Fraction(1),) if rational else (1.0,))
-    support = n // w.a + 1
-    zero, one = (Fraction(0), Fraction(1)) if rational else (0.0, 1.0)
+    a, b = w.a, w.b
+    support = n // a + 1
+    # a float cell is 8 bytes; an integer cell (below n! * n < (n+1)!) is a
+    # CPython int of 4 bytes per 30 bits plus a 24-byte header, and a pointer
+    cell = 32 + 4 * math.ceil(math.lgamma(n + 2) / math.log(2) / 30) if rational else 8
+    size = (n + 1) * support * cell
+    if size > DP_TABLE_MAX_BYTES:
+        raise DomainError(
+            f"exact_pmf table for n = {n} with support {support} needs about "
+            f"{size / 2**20:.0f} MiB, over the {DP_TABLE_MAX_BYTES / 2**20:.0f} MiB cap")
+    if rational:
+        dtype, one, div = object, math.factorial(n), operator.floordiv
+    else:
+        dtype, one, div = np.float64, 1.0, operator.truediv
 
-    # cum[m][i] = sum_{s=0}^{m} P_s(i); row m built from rows below it
-    row = [one] + [zero] * (support - 1)          # P_0
-    cum = [row[:]]
-    for m in range(1, n + 1):
-        c_prev = cum[m - 1]
-        top = m - w.a                              # window sum upper cum index
-        bot = m - min(w.b, m) - 1                  # one below its lower index
-        p_m = []
-        inv_m = Fraction(1, m) if rational else 1.0 / m
-        for i in range(support):
-            win_i = zero
-            win_im1 = zero
-            if top >= 0:
-                win_i = cum[top][i] - (cum[bot][i] if bot >= 0 else zero)
-                if i > 0:
-                    win_im1 = cum[top][i - 1] - (cum[bot][i - 1] if bot >= 0 else zero)
-            p_m.append((c_prev[i] - win_i + win_im1) * inv_m)
-        cum.append([c_prev[i] + p_m[i] for i in range(support)])
-        last = p_m
-    return Pmf(tuple(last))
+    # cum[j] = P_0 + ... + P_{j-1}; the zero row cum[0] stands for every
+    # row below 0
+    cum = np.zeros((n + 1, support), dtype)
+    u = np.zeros(support, dtype)
+    u[0] = one
+    cum[1] = u
+
+    def steps(m):
+        # D_m for the rows m, from the window sums cum_{m-a} - cum_{m-b-1}
+        win = cum[np.maximum(m - a + 1, 0)] - cum[np.maximum(m - b, 0)]
+        d = -win
+        d[:, 1:] += win[:, :-1]
+        return d
+
+    for s in range(1, n, a):
+        m = np.arange(s, min(s + a, n))
+        block = u + np.cumsum(div(steps(m), (m * (m + 1))[:, None]), axis=0)
+        cum[s + 1:s + 1 + len(m)] = block * (m + 1)[:, None]
+        u = block[-1]
+    last = u + div(steps(np.array([n]))[0], n)
+    if rational:
+        return Pmf(tuple(Fraction(x, one) for x in last))
+    return Pmf(tuple(np.maximum(last, 0.0).tolist()))
 
 
 def _partitions(n, max_part):

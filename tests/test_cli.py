@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,14 @@ class TestExitCodes:
                                  "--delta", "1/3", "--sigma", "nan")
         assert rc == 2
         assert "error:" in err
+
+    def test_oversized_exact_pmf_exits_2(self, capsys):
+        t0 = time.perf_counter()
+        rc, _, err = run_capture(capsys, "exact-pmf", "--n", "1000000",
+                                 "--gamma", "1/1000000", "--delta", "1")
+        assert rc == 2
+        assert "error:" in err and "n = 1000000" in err
+        assert time.perf_counter() - t0 < 1.0
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(["no-such-command"]) == 2

@@ -1,6 +1,7 @@
 """Exact finite-n ground truth: moments, DP distribution, brute force."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,27 @@ from cyclewindow.quasi_poisson import falling_moment
 def padded(pmf, size):
     probs = tuple(pmf.probs)
     return probs + (Fraction(0),) * (size - len(probs))
+
+
+def direct_rows(top, w):
+    """P_0..P_top by P_m(i) = (1/m) sum_k P_{m-k}(i - [k in w]), no prefix sums."""
+    rows = [[Fraction(1)]]
+    for m in range(1, top + 1):
+        row = [Fraction(0)] * (m // w.a + 1)
+        for k in range(1, m + 1):
+            hit = int(w.a <= k <= w.b)
+            for i, p in enumerate(rows[m - k]):
+                row[i + hit] += p
+        rows.append([p / m for p in row])
+    return rows
+
+
+def check_against_direct(n, w, want):
+    exact = exact_pmf(n, w, rational=True).probs
+    approx = exact_pmf(n, w, rational=False).probs
+    assert exact == tuple(want), (n, w)
+    assert max(abs(float(p) - q) for p, q in zip(want, approx)) <= 1e-14, (n, w)
+    assert min(approx) >= 0.0, (n, w)
 
 
 class TestJointFallingMoment:
@@ -83,6 +105,22 @@ class TestExactPmf:
         approx = exact_pmf(250, w, rational=False)
         assert max(abs(float(p) - q) for p, q in zip(exact.probs, approx.probs)) < 1e-13
 
+    @pytest.mark.parametrize("a, b", [(200, 2000), (500, 700)])
+    def test_float_mode_tracks_rational_at_n2000(self, a, b):
+        exact = exact_pmf(2000, IntWindow(a, b), rational=True)
+        approx = exact_pmf(2000, IntWindow(a, b), rational=False)
+        assert max(abs(float(p) - q) for p, q in zip(exact.probs, approx.probs)) < 1e-14
+
+    @pytest.mark.parametrize("n, w, rational", [
+        (10**6, IntWindow(1, 10**6), None),
+        (5000, IntWindow(1, 5000), True),
+    ])
+    def test_oversized_table_refused(self, n, w, rational):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match=f"n = {n} with support {n + 1}"):
+            exact_pmf(n, w, rational=rational)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             exact_pmf(0, IntWindow(1, 1))
@@ -90,6 +128,30 @@ class TestExactPmf:
             IntWindow(0, 3)
         with pytest.raises(DomainError):
             IntWindow(5, 3)
+
+
+class TestDirectRecursion:
+    """exact_pmf against the direct O(n^2) recursion, every window up to n = 30.
+
+    n runs over all of 1..30, so n = ka - 1, ka and ka + 1, where a block of
+    a rows ends, are covered for every a <= 15.
+    """
+
+    @pytest.mark.parametrize("a", range(1, 32))
+    def test_every_window_to_n30(self, a):
+        for b in range(a, 32):
+            w = IntWindow(a, b)
+            rows = direct_rows(30, w)
+            for n in range(max(b - 1, 1), 31):
+                check_against_direct(n, w, rows[n])
+
+    @pytest.mark.parametrize("a", [7, 13])
+    def test_block_edges_beyond_n30(self, a):
+        for w in (IntWindow(a, 2 * a), IntWindow(a, 4 * a + 1)):
+            rows = direct_rows(4 * a + 1, w)
+            for k in (3, 4):
+                for n in (k * a - 1, k * a, k * a + 1):
+                    check_against_direct(n, w, rows[n])
 
 
 class TestBruteForce:
