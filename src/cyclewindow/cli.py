@@ -1,9 +1,11 @@
 """Command-line interface: compute, compare, and export the distributions.
 
-Every subcommand prints a Report: a human table by default, machine JSON with
---json, CSV with --csv (the `figure` subcommand defaults to CSV since its
-output is a data file).  Exit codes: 0 success, 2 argument or domain errors,
-3 quadrature tolerance not met (the achieved error is printed).
+Each subcommand is one row of SUBCOMMANDS: a compute function, the options it
+declares, and whether it takes --tol.  Every subcommand prints a Report: a
+human table by default, machine JSON with --json, CSV with --csv (the `figure`
+subcommand defaults to CSV since its output is a data file).  Exit codes:
+0 success, 2 argument or domain errors, 3 quadrature tolerance not met (the
+achieved error is printed).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -132,19 +134,6 @@ def _ratio(text):
     return float(s)
 
 
-def _cfg_from(args):
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        return None
-    return QuadratureConfig(abs_tol=tol)
-
-
-def _pmf_list(pmf, rational=False):
-    if rational:
-        return [str(p) for p in pmf.probs]
-    return list(pmf.as_floats())
-
-
 def emit_figure_data(lo, hi, points, cfg=None):
     """Rows (gamma, P0, P1, P2) of the limiting window (gamma, 1] pmf.
 
@@ -168,131 +157,81 @@ def emit_figure_data(lo, hi, points, cfg=None):
     return rows
 
 
-def _run_limit_pmf(args):
-    iv = Interval(args.gamma, args.delta)
-    pmf = p_limit(iv, _cfg_from(args))
-    return Report(
-        command="limit-pmf",
-        params={"gamma": str(args.gamma), "delta": str(args.delta)},
-        results={"pmf": _pmf_list(pmf), "support": len(pmf) - 1},
-    )
+# Compute functions take the parsed options (keyed by argparse dest) and a
+# QuadratureConfig or None, and return results or (results, errors).  They
+# read library names from the module globals at call time, so rebinding
+# cli.p_limit or cli.emit_figure_data reaches them.
+
+def _limit_pmf(o, cfg):
+    pmf = p_limit(Interval(o["gamma"], o["delta"]), cfg)
+    return {"pmf": list(pmf.as_floats()), "support": len(pmf) - 1}
 
 
-def _run_limit_moment(args):
-    iv = Interval(args.gamma, args.delta)
-    val, err = sliced_cube_integral(args.r, iv, 1.0, _cfg_from(args),
+def _limit_moment(o, cfg):
+    val, err = sliced_cube_integral(o["r"], Interval(o["gamma"], o["delta"]), 1.0, cfg,
                                     with_error=True)
-    return Report(
-        command="limit-moment",
-        params={"r": args.r, "gamma": str(args.gamma), "delta": str(args.delta)},
-        results={"q_r": val},
-        errors={"estimate": err},
-    )
+    return {"q_r": val}, {"estimate": err}
 
 
-def _run_exact_pmf(args):
-    w = normalized_window(args.n, args.gamma, args.delta)
-    rational = True if args.exact_rational else None
-    pmf = exact_pmf(args.n, w, rational=rational)
-    return Report(
-        command="exact-pmf",
-        params={"n": args.n, "gamma": str(args.gamma), "delta": str(args.delta),
-                "exact_rational": bool(args.exact_rational)},
-        results={"window": [w.a, w.b],
-                 "pmf": _pmf_list(pmf, rational=bool(args.exact_rational))},
-    )
+def _exact_pmf(o, cfg):
+    w = normalized_window(o["n"], o["gamma"], o["delta"])
+    rational = o["exact_rational"]
+    pmf = exact_pmf(o["n"], w, rational=True if rational else None)
+    return {"window": [w.a, w.b],
+            "pmf": [str(p) for p in pmf.probs] if rational else list(pmf.as_floats())}
 
 
-def _run_exact_moment(args):
-    val = exact_falling_moment(args.n, IntWindow(args.a, args.b), args.r)
-    return Report(
-        command="exact-moment",
-        params={"n": args.n, "a": args.a, "b": args.b, "r": args.r},
-        results={"moment": str(val), "moment_float": float(val)},
-    )
+def _exact_moment(o, cfg):
+    val = exact_falling_moment(o["n"], IntWindow(o["a"], o["b"]), o["r"])
+    return {"moment": str(val), "moment_float": float(val)}
 
 
-def _run_qp(args):
-    pmf = qp_pmf(args.r, args.lam)
-    return Report(
-        command="qp",
-        params={"r": args.r, "lambda": args.lam},
-        results={"pmf": _pmf_list(pmf)},
-    )
+def _sample(o, cfg):
+    est = estimate_pmf(o["n"], Interval(o["gamma"], o["delta"]), o["sigma"], o["draws"],
+                       o["seed"])
+    w = normalized_window(o["n"], o["gamma"], o["delta"])
+    return {"window": [w.a, w.b], "counts": list(est.counts),
+            "pmf_hat": list(est.pmf_hat), "stderr": list(est.stderr),
+            "mean": est.mean, "mean_stderr": est.mean_stderr}
 
 
-def _run_sample(args):
-    iv = Interval(args.gamma, args.delta)
-    est = estimate_pmf(args.n, iv, args.sigma, args.draws, args.seed,
-                       workers=args.workers)
-    w = normalized_window(args.n, args.gamma, args.delta)
-    return Report(
-        command="sample",
-        params={"n": args.n, "gamma": str(args.gamma), "delta": str(args.delta),
-                "sigma": args.sigma, "draws": args.draws,
-                "workers": args.workers},
-        results={"window": [w.a, w.b], "counts": list(est.counts),
-                 "pmf_hat": list(est.pmf_hat), "stderr": list(est.stderr),
-                 "mean": est.mean, "mean_stderr": est.mean_stderr},
-        seed=args.seed,
-    )
-
-
-def _run_gamma_star(args):
+def _gamma_star(o, cfg):
     g0 = gamma_star()
-    p = p_limit(Interval(g0, 1.0), _cfg_from(args)).as_floats()
-    return Report(
-        command="gamma-star",
-        params={},
-        results={"gamma_star": g0, "P0": p[0], "P1": p[1], "P2": p[2]},
-    )
+    p = p_limit(Interval(g0, 1.0), cfg).as_floats()
+    return {"gamma_star": g0, "P0": p[0], "P1": p[1], "P2": p[2]}
 
 
-def _run_argmax(args):
-    g = argmax_p(args.i, args.lo, args.hi, _cfg_from(args))
-    p = p_limit(Interval(g, 1.0), _cfg_from(args)).as_floats()
-    val = p[args.i] if args.i < len(p) else 0.0
-    return Report(
-        command="argmax",
-        params={"i": args.i, "lo": args.lo, "hi": args.hi},
-        results={"argmax": g, "p_i": val},
-    )
+def _argmax(o, cfg):
+    g = argmax_p(o["i"], o["lo"], o["hi"], cfg)
+    p = p_limit(Interval(g, 1.0), cfg).as_floats()
+    return {"argmax": g, "p_i": p[o["i"]] if o["i"] < len(p) else 0.0}
 
 
-def _run_figure(args):
-    rows = emit_figure_data(args.lo, args.hi, args.points, _cfg_from(args))
-    return Report(
-        command="figure",
-        params={"lo": args.lo, "hi": args.hi, "points": args.points},
-        results={"rows": rows, "rows_columns": ["gamma", "P0", "P1", "P2"]},
-    )
+_WINDOW = {"gamma": _ratio, "delta": _ratio}
 
-
-def _run_buchstab(args):
-    return Report(
-        command="buchstab",
-        params={"u": args.u},
-        results={"omega": buchstab(args.u)},
-    )
-
-
-def _run_dilog(args):
-    return Report(
-        command="dilog",
-        params={"x": args.x},
-        results={"Li2": dilog(args.x)},
-    )
-
-
-def _run_ewens_lambda(args):
-    iv = Interval(args.gamma, args.delta)
-    val = ewens_lambda(iv, args.sigma, _cfg_from(args))
-    return Report(
-        command="ewens-lambda",
-        params={"gamma": str(args.gamma), "delta": str(args.delta),
-                "sigma": args.sigma},
-        results={"lambda": val},
-    )
+# name -> (compute, options, takes --tol).  An option's kind is a type for a
+# required option, (type, default) for an optional one, or bool for a flag.
+SUBCOMMANDS = {
+    "limit-pmf": (_limit_pmf, _WINDOW, True),
+    "limit-moment": (_limit_moment, {"r": int, **_WINDOW}, True),
+    "exact-pmf": (_exact_pmf, {"n": int, **_WINDOW, "exact-rational": bool}, False),
+    "exact-moment": (_exact_moment, {"n": int, "a": int, "b": int, "r": int}, False),
+    "qp": (lambda o, cfg: {"pmf": list(qp_pmf(o["r"], o["lambda"]).as_floats())},
+           {"r": int, "lambda": float}, False),
+    "sample": (_sample, {"n": int, **_WINDOW, "sigma": (float, 1.0), "draws": int,
+                         "seed": int}, False),
+    "gamma-star": (_gamma_star, {}, True),
+    "argmax": (_argmax, {"i": int, "lo": float, "hi": float}, True),
+    "figure": (lambda o, cfg: {
+        "rows": emit_figure_data(o["lo"], o["hi"], o["points"], cfg),
+        "rows_columns": ["gamma", "P0", "P1", "P2"]},
+        {"lo": float, "hi": float, "points": int}, True),
+    "buchstab": (lambda o, cfg: {"omega": buchstab(o["u"])}, {"u": float}, False),
+    "dilog": (lambda o, cfg: {"Li2": dilog(o["x"])}, {"x": float}, False),
+    "ewens-lambda": (lambda o, cfg: {
+        "lambda": ewens_lambda(Interval(o["gamma"], o["delta"]), o["sigma"], cfg)},
+        {**_WINDOW, "sigma": float}, True),
+}
 
 
 def _build_parser():
@@ -302,88 +241,33 @@ def _build_parser():
                     "permutation with normalized length in a window.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, handler, default_format="table"):
+    for name, (_, options, takes_tol) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
-        p.set_defaults(handler=handler, default_format=default_format)
         p.add_argument("--json", action="store_true")
         p.add_argument("--csv", action="store_true")
-        return p
-
-    p = add("limit-pmf", _run_limit_pmf)
-    p.add_argument("--gamma", type=_ratio, required=True)
-    p.add_argument("--delta", type=_ratio, required=True)
-    p.add_argument("--tol", type=float)
-
-    p = add("limit-moment", _run_limit_moment)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--gamma", type=_ratio, required=True)
-    p.add_argument("--delta", type=_ratio, required=True)
-    p.add_argument("--tol", type=float)
-
-    p = add("exact-pmf", _run_exact_pmf)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=_ratio, required=True)
-    p.add_argument("--delta", type=_ratio, required=True)
-    p.add_argument("--exact-rational", action="store_true")
-
-    p = add("exact-moment", _run_exact_moment)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-
-    p = add("qp", _run_qp)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-
-    p = add("sample", _run_sample)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=_ratio, required=True)
-    p.add_argument("--delta", type=_ratio, required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--draws", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
-
-    add("gamma-star", _run_gamma_star).add_argument("--tol", type=float)
-
-    p = add("argmax", _run_argmax)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--tol", type=float)
-
-    p = add("figure", _run_figure, default_format="csv")
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--tol", type=float)
-
-    p = add("buchstab", _run_buchstab)
-    p.add_argument("--u", type=float, required=True)
-
-    p = add("dilog", _run_dilog)
-    p.add_argument("--x", type=float, required=True)
-
-    p = add("ewens-lambda", _run_ewens_lambda)
-    p.add_argument("--gamma", type=_ratio, required=True)
-    p.add_argument("--delta", type=_ratio, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--tol", type=float)
-
+        for opt, kind in options.items():
+            if kind is bool:
+                p.add_argument("--" + opt, action="store_true")
+            elif isinstance(kind, tuple):
+                p.add_argument("--" + opt, type=kind[0], default=kind[1])
+            else:
+                p.add_argument("--" + opt, type=kind, required=True)
+        if takes_tol:
+            p.add_argument("--tol", type=float)
     return parser
 
 
 def run(argv):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    compute, options, _ = SUBCOMMANDS[args.subcommand]
+    opts = vars(args)
     started = time.perf_counter()
     try:
-        report = args.handler(args)
+        tol = opts.get("tol")
+        out = compute(opts, None if tol is None else QuadratureConfig(abs_tol=tol))
     except (DomainError, InvalidMomentsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -396,10 +280,18 @@ def run(argv):
             detail += f", requested {requested:.3e})" if requested is not None else ")"
         print(detail, file=sys.stderr)
         return 3
+    results, errors = out if isinstance(out, tuple) else (out, None)
+    params = {}
+    for opt, kind in options.items():
+        key = opt.replace("-", "_")
+        if key != "seed":
+            params[key] = str(opts[key]) if kind is _ratio else opts[key]
+    report = Report(command=args.subcommand, params=params, results=results,
+                    errors=errors, seed=opts.get("seed"))
     report.elapsed_ms = (time.perf_counter() - started) * 1000.0
     if args.json:
         print(report.to_json())
-    elif args.csv or args.default_format == "csv":
+    elif args.csv or args.subcommand == "figure":
         sys.stdout.write(report.to_csv())
     else:
         print(report.to_table())

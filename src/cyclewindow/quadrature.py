@@ -211,20 +211,16 @@ def integrate_many(f, los, his, cfg=None, breakpoints=None):
     Returns (values, errors) arrays.  Raises ToleranceNotMet, naming the
     first failing integral, when a panel estimate is not finite, when one
     integral needs more than MAX_LIVE_PANELS live panels, or when an
-    integral's summed error exceeds max(abs_tol, rel_tol*|value|).
+    integral's summed error exceeds max(abs_tol, rel_tol*|value|).  GK15
+    only: a Simpson config raises DomainError (use integrate() for Simpson).
     """
     if cfg is None:
         cfg = QuadratureConfig()
+    if cfg.panel_rule != RULE_GK15:
+        raise DomainError(f"integrate_many supports only {RULE_GK15!r}, got {cfg.panel_rule!r}")
     n = len(los)
     if breakpoints is None:
         breakpoints = [()] * n
-    if cfg.panel_rule == RULE_SIMPSON:
-        def scalar(i):
-            return lambda x: float(f(np.full((1, 1), x), np.array([i]))[0, 0])
-
-        out = [integrate(scalar(i), lo, hi, cfg, bps)
-               for i, (lo, hi, bps) in enumerate(zip(los, his, breakpoints))]
-        return np.array([v for v, _ in out]), np.array([e for _, e in out])
     owner, lo, hi, tol = [], [], [], []
     for i, (a, b, bps) in enumerate(zip(los, his, breakpoints)):
         for pa, pb in _pieces(a, b, bps):

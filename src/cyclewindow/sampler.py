@@ -10,12 +10,9 @@ It jumps from one opening to the next by inverting the cumulative hazard, so
 a draw costs one exponential per cycle, and it is validated against the
 single-draw constructions and exact laws in the tests.
 
-Randomness: Philox counter-based generators.  estimate_pmf(seed, workers)
-seeds one SeedSequence(seed) and spawns `workers` children in order;
-substream w draws a contiguous block of the samples with generator
-Philox(child_w).  The substreams run one after another in this process and
-their tallies merge in order, so results are bit-reproducible for a fixed
-(seed, samples, workers) triple.
+Randomness: Philox counter-based generators.  estimate_pmf(seed) draws every
+sample from one generator, Philox(SeedSequence(seed, spawn_key=(0,))), so
+results are bit-reproducible for a fixed (seed, samples) pair.
 """
 
 from __future__ import annotations
@@ -163,11 +160,10 @@ def _feller_tally(gen, draws, hazard, a, b, counts):
             pos, hits, total = nxt[live], hits[live], total[live]
 
 
-def estimate_pmf(n, iv: Interval, sigma, samples, seed, workers=1):
+def estimate_pmf(n, iv: Interval, sigma, samples, seed):
     """Empirical pmf of the number of cycles with length in [ceil(gamma*n), floor(delta*n)].
 
-    Deterministic for fixed (seed, samples, workers); see the module notes for
-    the substream layout.
+    Deterministic for fixed (seed, samples); see the module notes for the stream.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -175,16 +171,13 @@ def estimate_pmf(n, iv: Interval, sigma, samples, seed, workers=1):
         raise DomainError(f"need finite sigma > 0, got {sigma}")
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples}")
-    if workers < 1:
-        raise DomainError(f"need workers >= 1, got {workers}")
     w = normalized_window(n, iv.gamma, iv.delta)
     # log1p(theta/(i-1)) = -log(1-p_i) stays finite where p_i rounds to 1
     hazard = np.concatenate(([0.0], np.cumsum(np.log1p(float(sigma) / np.arange(1, n)))))
     counts = np.zeros(n // w.a + 1, dtype=np.int64)
-    base, rem = divmod(samples, workers)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(workers)):
-        gen = np.random.Generator(np.random.Philox(child))
-        _feller_tally(gen, base + (i < rem), hazard, w.a, w.b, counts)
+    # spawn_key (0,) is the stream of SeedSequence(seed).spawn(1)[0]
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
+    _feller_tally(gen, samples, hazard, w.a, w.b, counts)
     pmf_hat = counts / samples
     stderr = np.sqrt(pmf_hat * (1.0 - pmf_hat) / samples)
     return EstimateResult(

@@ -74,6 +74,10 @@ def dilog(x):
 # running antiderivative F(v) = integral_1^v omega needed by the next piece.
 
 _CHEB_POINTS = 40
+# The tabulated omega(u) is within 1e-14 of its limit e^{-euler_gamma} for
+# every u in [12, 60], so omega is taken constant past this point; the table
+# then stays bounded and a huge u costs no more than u = 30.
+_U_CLAMP = 30.0
 
 
 class _BuchstabTable:
@@ -117,12 +121,12 @@ _table = _BuchstabTable()
 
 
 def buchstab(u):
-    """The Buchstab function omega(u) for u >= 1, abs err <= 1e-8."""
-    if u < 1.0:
-        raise DomainError(f"buchstab defined for u >= 1, got {u}")
+    """The Buchstab function omega(u) for finite u >= 1, abs err <= 1e-8."""
+    if not 1.0 <= u < math.inf:
+        raise DomainError(f"buchstab defined for finite u >= 1, got {u}")
     if u <= 2.0:
         return 1.0 / u
-    return _table.eval(u)
+    return _table.eval(min(u, _U_CLAMP))
 
 
 def buchstab_max_residual(iv: RealInterval, points: int, cfg=None):

@@ -228,6 +228,14 @@ class TestExitCodes:
         assert rc == 3
         assert "achieved" in err
 
+    @pytest.mark.parametrize("u", ["inf", "nan"])
+    def test_non_finite_buchstab_exits_2(self, capsys, u):
+        t0 = time.perf_counter()
+        rc, _, err = run_capture(capsys, "buchstab", "--u", u)
+        assert rc == 2
+        assert "error:" in err
+        assert time.perf_counter() - t0 < 1.0
+
     def test_csv_exact_pmf_header(self, capsys):
         rc, out, _ = run_capture(capsys, "exact-pmf", "--n", "4", "--gamma",
                                  "0.5", "--delta", "1", "--csv")
@@ -245,3 +253,21 @@ def test_python_dash_m_runs_the_cli(module):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)["results"]["gamma_star"]
     assert got == pytest.approx(1.0 / (1.0 + math.exp(0.5)), abs=1e-12)
+
+
+def _readme_cli_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command-line interface", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split(">")[0].split()[1:]
+            for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_cli_block_matches_the_subcommand_table(capsys):
+    commands = _readme_cli_commands()
+    assert {argv[0] for argv in commands} == set(cli.SUBCOMMANDS)
+    for argv in commands:
+        rc, out, err = run_capture(capsys, *argv, "--json")
+        assert rc == 0, (argv, err)
+        declared = [opt.replace("-", "_") for opt in cli.SUBCOMMANDS[argv[0]][1]]
+        assert list(json.loads(out)["params"]) == [k for k in declared if k != "seed"]

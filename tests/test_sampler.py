@@ -179,13 +179,6 @@ class TestEstimatePmf:
         assert a.counts == b.counts
         assert a.pmf_hat == b.pmf_hat
 
-    def test_worker_split_is_deterministic(self):
-        a = estimate_pmf(100, Interval(0.2, 0.6), 1.0, 4_000, seed=9,
-                         workers=2)
-        b = estimate_pmf(100, Interval(0.2, 0.6), 1.0, 4_000, seed=9,
-                         workers=2)
-        assert a.counts == b.counts
-
     def test_point_mass_window(self):
         res = estimate_pmf(1, Interval(0.5, 1.0), 1.0, 100, seed=1)
         assert res.counts == (0, 100)
@@ -204,8 +197,6 @@ class TestEstimatePmf:
             estimate_pmf(10, iv, 0.0, 100, seed=0)
         with pytest.raises(DomainError):
             estimate_pmf(10, iv, 1.0, 0, seed=0)
-        with pytest.raises(DomainError):
-            estimate_pmf(10, iv, 1.0, 100, seed=0, workers=0)
 
 
     @pytest.mark.parametrize("sigma", [math.inf, math.nan])

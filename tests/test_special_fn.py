@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 
 import mpmath
 import pytest
@@ -76,6 +77,19 @@ class TestBuchstab:
     def test_domain(self):
         with pytest.raises(DomainError):
             buchstab(0.5)
+
+    @pytest.mark.parametrize("u", [math.inf, math.nan])
+    def test_non_finite_refused_promptly(self, u):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError):
+            buchstab(u)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_huge_u_is_prompt_and_at_the_limit(self):
+        t0 = time.perf_counter()
+        val = buchstab(1e6)
+        assert time.perf_counter() - t0 < 1.0
+        assert abs(val - math.exp(-0.5772156649015329)) < 1e-12
 
     def test_residual_small(self):
         res = buchstab_max_residual(RealInterval(2.0, 6.0), 17)
