@@ -134,10 +134,10 @@ def _ratio(text):
     return float(s)
 
 
-def emit_figure_data(lo, hi, points, cfg=None):
+def emit_figure_data(lo, hi, points):
     """Rows (gamma, P0, P1, P2) of the limiting window (gamma, 1] pmf.
 
-    Quadrature-backed below gamma = 1/2; closed forms P0 = 1 + ln(gamma),
+    From p_limit below gamma = 1/2; closed forms P0 = 1 + ln(gamma),
     P1 = -ln(gamma), P2 = 0 at and above it.
     """
     if not (1 / 3 - 1e-3 <= lo < hi <= 1.0):
@@ -151,7 +151,7 @@ def emit_figure_data(lo, hi, points, cfg=None):
             lg = math.log(g)
             rows.append([g, 1.0 + lg, -lg, 0.0])
         else:
-            p = p_limit(Interval(g, 1.0), cfg).as_floats()
+            p = p_limit(Interval(g, 1.0)).as_floats()
             p = p + (0.0,) * (3 - len(p))
             rows.append([g, p[0], p[1], p[2]])
     return rows
@@ -163,12 +163,12 @@ def emit_figure_data(lo, hi, points, cfg=None):
 # cli.p_limit or cli.emit_figure_data reaches them.
 
 def _limit_pmf(o, cfg):
-    pmf = p_limit(Interval(o["gamma"], o["delta"]), cfg)
+    pmf = p_limit(Interval(o["gamma"], o["delta"]))
     return {"pmf": list(pmf.as_floats()), "support": len(pmf) - 1}
 
 
 def _limit_moment(o, cfg):
-    val, err = sliced_cube_integral(o["r"], Interval(o["gamma"], o["delta"]), 1.0, cfg,
+    val, err = sliced_cube_integral(o["r"], Interval(o["gamma"], o["delta"]), 1.0,
                                     with_error=True)
     return {"q_r": val}, {"estimate": err}
 
@@ -197,13 +197,13 @@ def _sample(o, cfg):
 
 def _gamma_star(o, cfg):
     g0 = gamma_star()
-    p = p_limit(Interval(g0, 1.0), cfg).as_floats()
+    p = p_limit(Interval(g0, 1.0)).as_floats()
     return {"gamma_star": g0, "P0": p[0], "P1": p[1], "P2": p[2]}
 
 
 def _argmax(o, cfg):
-    g = argmax_p(o["i"], o["lo"], o["hi"], cfg)
-    p = p_limit(Interval(g, 1.0), cfg).as_floats()
+    g = argmax_p(o["i"], o["lo"], o["hi"])
+    p = p_limit(Interval(g, 1.0)).as_floats()
     return {"argmax": g, "p_i": p[o["i"]] if o["i"] < len(p) else 0.0}
 
 
@@ -212,20 +212,20 @@ _WINDOW = {"gamma": _ratio, "delta": _ratio}
 # name -> (compute, options, takes --tol).  An option's kind is a type for a
 # required option, (type, default) for an optional one, or bool for a flag.
 SUBCOMMANDS = {
-    "limit-pmf": (_limit_pmf, _WINDOW, True),
-    "limit-moment": (_limit_moment, {"r": int, **_WINDOW}, True),
+    "limit-pmf": (_limit_pmf, _WINDOW, False),
+    "limit-moment": (_limit_moment, {"r": int, **_WINDOW}, False),
     "exact-pmf": (_exact_pmf, {"n": int, **_WINDOW, "exact-rational": bool}, False),
     "exact-moment": (_exact_moment, {"n": int, "a": int, "b": int, "r": int}, False),
     "qp": (lambda o, cfg: {"pmf": list(qp_pmf(o["r"], o["lambda"]).as_floats())},
            {"r": int, "lambda": float}, False),
     "sample": (_sample, {"n": int, **_WINDOW, "sigma": (float, 1.0), "draws": int,
                          "seed": int}, False),
-    "gamma-star": (_gamma_star, {}, True),
-    "argmax": (_argmax, {"i": int, "lo": float, "hi": float}, True),
+    "gamma-star": (_gamma_star, {}, False),
+    "argmax": (_argmax, {"i": int, "lo": float, "hi": float}, False),
     "figure": (lambda o, cfg: {
-        "rows": emit_figure_data(o["lo"], o["hi"], o["points"], cfg),
+        "rows": emit_figure_data(o["lo"], o["hi"], o["points"]),
         "rows_columns": ["gamma", "P0", "P1", "P2"]},
-        {"lo": float, "hi": float, "points": int}, True),
+        {"lo": float, "hi": float, "points": int}, False),
     "buchstab": (lambda o, cfg: {"omega": buchstab(o["u"])}, {"u": float}, False),
     "dilog": (lambda o, cfg: {"Li2": dilog(o["x"])}, {"x": float}, False),
     "ewens-lambda": (lambda o, cfg: {

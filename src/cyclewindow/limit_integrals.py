@@ -3,9 +3,11 @@
 As n grows, the number of cycles of a uniform random permutation of [n] with
 length in [gamma*n, delta*n] converges in distribution.  The r-th falling
 moment of the limit is the integral of 1/(z_1 ... z_r) over the box
-[gamma, delta]^r sliced by z_1 + ... + z_r <= 1.  Everything here reduces to
-iterated one-dimensional quadrature of that integral and of the companion
-one-parameter recurrence for windows of the form (gamma, 1].
+[gamma, delta]^r sliced by z_1 + ... + z_r <= 1.  The slice integrals of all
+orders come from one ladder of levels, each a piecewise-Chebyshev
+antiderivative of the level below.  The companion one-parameter recurrence
+for windows (gamma, 1] stays iterated adaptive quadrature, an oracle that
+shares no table with the ladder.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
-from numpy.polynomial import polyutils
-from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebvander
 
 from .errors import DomainError
-from .quadrature import QuadratureConfig, integrate, integrate_many
+from .quadrature import (
+    _BND_EPS, QuadratureConfig, _antiderivative, _dedupe, _interp_pieces,
+    _PiecewiseCheb, integrate, integrate_many,
+)
 from .quasi_poisson import MomentVector, pmf_from_falling_moments
 from .special_fn import dilog
 
@@ -29,12 +32,6 @@ __all__ = [
     "q2_closed_form", "Q_recurrence", "p_limit", "p1_derivative",
     "gamma_star", "argmax_p", "small_simplex_ratio", "ewens_lambda",
 ]
-
-_CHEB_DEG = 32
-_BND_EPS = 1e-13
-_CHEB_PTS = chebpts1(_CHEB_DEG + 1)
-_CHEB_VANDER = chebvander(_CHEB_PTS, _CHEB_DEG)
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -64,125 +61,47 @@ class Interval:
         return float(self.delta)
 
 
-class _PiecewiseCheb:
-    """Chebyshev pieces on consecutive [bounds[i], bounds[i+1]] intervals.
-
-    left/right give the value outside the tabulated range; None clamps to the
-    nearest endpoint (for queries that only stray past it by roundoff).
-    Calls take arrays: each point's piece is found by searchsorted and all
-    points run one Clenshaw recurrence together, in numpy's mapdomain/chebval
-    operation order, so values are bit-identical to Chebyshev.__call__.
-    """
-
-    def __init__(self, bounds, chebs, left, right):
-        self.bounds = np.array(bounds, dtype=float)
-        self.off, self.scl = np.array([ch.mapparms() for ch in chebs]).T
-        # row k holds coefficient k of every piece, highest degree first
-        self.coef = np.array([ch.coef[::-1] for ch in chebs]).T.copy()
-        self.left = left
-        self.right = right
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        b = self.bounds
-        tc = np.clip(t, b[0], b[-1])
-        i = np.minimum(np.searchsorted(b, tc, side="right") - 1, len(b) - 2)
-        x = self.off[i] + self.scl[i] * tc
-        x2 = 2 * x
-        c1, c0 = self.coef[0][i], self.coef[1][i]
-        for a in self.coef[2:]:
-            c0, c1 = a[i] - c1, c0 + c1 * x2
-        out = c0 + c1 * x
-        if self.left is not None:
-            out = np.where(t <= b[0], self.left, out)
-        if self.right is not None:
-            out = np.where(t >= b[-1], self.right, out)
-        return out
-
-
-def _dedupe(points, eps=_BND_EPS):
-    out = []
-    for p in sorted(points):
-        if not out or p - out[-1] > eps:
-            out.append(p)
-    return out
-
-
-def _interp_pieces(bounds, fn):
-    """Degree-32 Chebyshev interpolants of fn, one per [bounds[i], bounds[i+1]].
-
-    fn maps the flat array of every piece's 33 nodes to values in one call.
-    Nodes and coefficients are computed as Chebyshev.interpolate computes them.
-    """
-    domains = list(zip(bounds[:-1], bounds[1:]))
-    nodes = np.array([polyutils.mapdomain(_CHEB_PTS, Chebyshev.window, dom)
-                      for dom in domains])
-    order = _CHEB_DEG + 1
-    chebs = []
-    for dom, ys in zip(domains, np.reshape(fn(nodes.ravel()), nodes.shape)):
-        c = np.dot(_CHEB_VANDER.T, ys)
-        c[0] /= order
-        c[1:] /= 0.5 * order
-        chebs.append(Chebyshev(c, domain=list(dom)))
-    return chebs
-
-
-# --- nested reduction of the sliced-box integral ----------------------------
+# --- the sliced-box integral as a ladder of antiderivatives ------------------
 #
-# I_m(t) = integral over [gamma,delta]^m cut by sum <= t.  The reduction
-#   I_m(t) = int_gamma^{min(delta, t-(m-1)gamma)} I_{m-1}(t-z) dz/z
-# bottoms out at the analytic I_1.  I_m has derivative kinks exactly at
-# t in {a*gamma + b*delta : a+b = m}, is 0 below m*gamma and constant
-# (log(delta/gamma))^m above m*delta, so each level is tabulated as
-# kink-aligned Chebyshev pieces and quadrature panels split at mapped kinks.
-# A level's table nodes are integrated together in one integrate_many batch.
+# I_m(t) = integral over [gamma,delta]^m cut by sum <= t.  Differentiating in
+# the slice gives t I_m'(t) = m [I_{m-1}(t-gamma) - I_{m-1}(t-delta)], so each
+# level is one antiderivative of the level below, from its zero at m*gamma.
+# I_m has kinks at t in {a*gamma + b*delta : a+b = m} and is constant
+# (log(delta/gamma))^m above m*delta.  Its integrand's continuation is
+# singular at (m-1)*gamma, so the pieces are also graded at m*gamma + gamma*2^i.
 
-def _integrate_I(ts, m, g, d, prev_fn, prev_kinks, cfg):
-    """(values, errors) of I_m at every t in the flat array ts."""
-    tops = np.minimum(d, ts - (m - 1) * g)
-    brks = [[t - k for k in prev_kinks] for t in ts.tolist()]
-    return integrate_many(lambda z, own: prev_fn(ts[own, None] - z) / z,
-                          [g] * len(ts), tops, cfg, brks)
-
-
-def _build_I_level(m, g, d, cap, prev_fn, prev_kinks, cfg):
-    lo, hi = m * g, min(m * d, cap)
-    kinks = sorted(a * g + (m - a) * d for a in range(m, -1, -1))
-    bounds = _dedupe([lo, hi] + [k for k in kinks if lo < k < hi])
-    pieces = _interp_pieces(
-        bounds, lambda ts: _integrate_I(ts, m, g, d, prev_fn, prev_kinks, cfg)[0])
-    above = math.log(d / g) ** m if hi >= m * d - _BND_EPS else None
-    return _PiecewiseCheb(bounds, pieces, left=0.0, right=above), kinks
-
-
-def _sliced_moments(r, g, d, c, cfg):
+def _sliced_moments(r, g, d, c):
     """(value, err) of the c-slice integral for each order 1..r, in order.
 
-    Every order reads off one ladder of levels, each tabulated once with cap
-    c - gamma: order m+1 reads I_m(c - z) for z >= gamma, the widest use.
+    Level m is tabulated on [m*gamma, min(m*delta, c)] and order m is I_m(c).
+    err sums (b-a)(|c_31|+|c_32|) of every integrand piece up to level m,
+    plus 8*m*eps*|value| of rounding.
     """
-    cfg = cfg or QuadratureConfig()
-    prev_fn = lambda t: np.log(np.clip(t, g, d) / g)
-    prev_kinks = [g, d]
-    yield float(prev_fn(c)), 0.0
-    for j in range(2, r + 1):
-        if j * g >= c - _BND_EPS:
+    level, tails = (lambda t: np.log(np.clip(t, g, d) / g)), 0.0
+    for m in range(1, r + 1):
+        lo, hi = m * g, min(m * d, c)
+        if lo >= c - _BND_EPS:
             yield 0.0, 0.0  # the region is empty or thinner than _BND_EPS
             continue
-        if j > 2:
-            prev_fn, prev_kinks = _build_I_level(
-                j - 1, g, d, c - g, prev_fn, prev_kinks, cfg)
-        val, err = _integrate_I(np.array([c]), j, g, d, prev_fn, prev_kinks, cfg)
-        yield float(val[0]), float(err[0]) + (j - 1) * cfg.abs_tol
+        if m > 1:
+            kinks = [a * g + (m - a) * d for a in range(m)]
+            graded = [lo + g * 2.0 ** i for i in range(int((hi - lo) / g).bit_length())]
+            bounds = _dedupe([lo, hi] + [p for p in kinks + graded if lo < p < hi])
+            coef, tail = _antiderivative(
+                bounds, lambda s, f=level, m=m: m * (f(s - g) - f(s - d)) / s)
+            above = math.log(d / g) ** m if hi >= m * d - _BND_EPS else None
+            level = _PiecewiseCheb(bounds, coef, left=0.0, right=above)
+            tails += float(tail.sum())
+        val = float(level(c))
+        yield val, tails + 8 * m * np.finfo(float).eps * abs(val)
 
 
-def sliced_cube_integral(r, iv: Interval, c, cfg=None, with_error=False):
+def sliced_cube_integral(r, iv: Interval, c, with_error=False):
     """Integral of 1/(z_1...z_r) over [gamma, delta]^r cut by sum z_i <= c.
 
     Exactly 0 when r*gamma >= c (the region is empty or degenerate); 1 when
-    r = 0.  Otherwise evaluated by the nested one-dimensional reduction with
-    per-level tolerance cfg.abs_tol, so the returned value carries roughly
-    r * abs_tol of accumulated tolerance.
+    r = 0.  Otherwise read off the ladder of antiderivatives; with_error also
+    returns the error estimate of _sliced_moments.
     """
     if r < 0:
         raise DomainError(f"need r >= 0, got {r}")
@@ -192,13 +111,13 @@ def sliced_cube_integral(r, iv: Interval, c, cfg=None, with_error=False):
         return (1.0, 0.0) if with_error else 1.0
     if c <= 0:
         raise DomainError(f"need c > 0, got {c}")
-    val, err = list(_sliced_moments(r, iv.g, iv.d, c, cfg))[-1]
+    val, err = list(_sliced_moments(r, iv.g, iv.d, c))[-1]
     return (val, err) if with_error else val
 
 
-def q_limit(r, iv: Interval, cfg=None):
+def q_limit(r, iv: Interval):
     """Limiting r-th falling moment of the window cycle count: the c = 1 slice."""
-    return sliced_cube_integral(r, iv, 1.0, cfg)
+    return sliced_cube_integral(r, iv, 1.0)
 
 
 def q2_closed_form(iv: Interval):
@@ -252,8 +171,8 @@ def _build_Q_level(j, lo, cfg, prev_fn):
         return lambda x: np.zeros(np.shape(x))
     inner = [1.0 / m for m in range(j + 1, int(1.0 / lo) + 2) if lo < 1.0 / m < hi]
     bounds = _dedupe([lo, hi] + inner)
-    pieces = _interp_pieces(bounds, lambda xs: _integrate_Q(xs, j, prev_fn, cfg))
-    return _PiecewiseCheb(bounds, pieces, left=None, right=0.0)
+    coef = _interp_pieces(bounds, lambda xs: _integrate_Q(xs, j, prev_fn, cfg))
+    return _PiecewiseCheb(bounds, coef, left=None, right=0.0)
 
 
 def Q_recurrence(k, gamma, cfg=None):
@@ -288,13 +207,13 @@ def support_bound(gamma):
     return int(math.floor(1.0 / float(gamma) + 1e-9))
 
 
-def p_limit(iv: Interval, cfg=None):
+def p_limit(iv: Interval):
     """Limiting pmf of the window cycle count, supported on {0..floor(1/gamma)}.
 
-    Falling moments q_0..q_r from quadrature, inverted to probabilities;
-    entries sum to 1 within the accumulated quadrature tolerance.
+    Falling moments q_0..q_r from the ladder of antiderivatives, inverted to
+    probabilities and renormalized.
     """
-    moments = _sliced_moments(support_bound(iv.gamma), iv.g, iv.d, 1.0, cfg)
+    moments = _sliced_moments(support_bound(iv.gamma), iv.g, iv.d, 1.0)
     q = [1.0] + [max(v, 0.0) for v, _ in moments]
     return pmf_from_falling_moments(MomentVector(tuple(q)))
 
@@ -338,19 +257,21 @@ def gamma_star():
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def argmax_p(i, lo, hi, cfg=None, tol=1e-7):
+def argmax_p(i, lo, hi, tol=1e-7):
     """Golden-section argmax over gamma in [lo, hi] of p_limit((gamma, 1))[i].
 
     Assumes (does not verify) unimodality of the objective on [lo, hi];
-    abscissa tolerance tol.
+    abscissa tolerance tol, which must be finite and positive.
     """
     if not 0.0 < lo < hi <= 1.0:
         raise DomainError(f"need 0 < lo < hi <= 1, got ({lo}, {hi})")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"need finite tol > 0, got {tol}")
     if i < 0 or i > support_bound(lo):
         raise DomainError(f"index {i} outside the support bound for gamma >= {lo}")
 
     def val(g):
-        p = p_limit(Interval(g, 1.0), cfg)
+        p = p_limit(Interval(g, 1.0))
         return p[i] if i < len(p) else 0.0
 
     a, b = float(lo), float(hi)

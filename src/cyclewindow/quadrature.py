@@ -18,6 +18,12 @@ integrate() is a batch of one over a scalar integrand; Simpson refinement
 stays a scalar recursion.  A non-finite panel estimate, or more than
 MAX_LIVE_PANELS live panels in one integral, raises ToleranceNotMet rather
 than refining on to max_depth.
+
+_PiecewiseCheb holds degree-32 Chebyshev interpolants on consecutive pieces
+and evaluates them on whole arrays.  _antiderivative integrates a function on
+every piece at once, with one matrix product and one cumsum: the method of
+steps for delay equations (Bellman and Cooke, Differential-Difference
+Equations, 1963) behind the limit ladder and the Buchstab function.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
 
 from .errors import DomainError, ToleranceNotMet
 
@@ -348,3 +355,95 @@ def integrate(f, lo, hi, cfg=None, breakpoints=()):
             f"quadrature error estimate {err:.3e} exceeds tolerance {allowed:.3e}",
             value=total, achieved=err, requested=allowed)
     return total, err
+
+
+# --- piecewise Chebyshev tables ---------------------------------------------
+
+_CHEB_DEG = 32
+_BND_EPS = 1e-13
+_CHEB_PTS = chebpts1(_CHEB_DEG + 1)
+_CHEB_VANDER = chebvander(_CHEB_PTS, _CHEB_DEG)
+# row k: Chebyshev coefficients of the antiderivative of T_k vanishing at -1
+_CHEB_INTEG = chebint(np.eye(_CHEB_DEG + 1), lbnd=-1, axis=1)
+
+
+class _PiecewiseCheb:
+    """Chebyshev pieces on consecutive [bounds[i], bounds[i+1]] intervals.
+
+    coef holds one row of Chebyshev coefficients per piece, lowest degree
+    first, in the piece's own variable on [-1, 1].  left/right give the value
+    outside the tabulated range; None clamps to the nearest endpoint (for
+    queries that only stray past it by roundoff).  Calls take arrays: each
+    point's piece is found by searchsorted and all points run one Clenshaw
+    recurrence together, in numpy's mapdomain/chebval operation order, so
+    values are bit-identical to Chebyshev(coef[i], domain=[a, b])(t).
+    """
+
+    def __init__(self, bounds, coef, left, right):
+        self.bounds = b = np.array(bounds, dtype=float)
+        lo, hi = b[:-1], b[1:]
+        # numpy's mapparms from each piece's domain to the window [-1, 1]
+        self.off = (hi * -1.0 - lo * 1.0) / (hi - lo)
+        self.scl = 2.0 / (hi - lo)
+        # row k holds coefficient k of every piece, highest degree first
+        self.coef = np.ascontiguousarray(np.asarray(coef, dtype=float)[:, ::-1].T)
+        self.left = left
+        self.right = right
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        b = self.bounds
+        tc = np.clip(t, b[0], b[-1])
+        i = np.minimum(np.searchsorted(b, tc, side="right") - 1, len(b) - 2)
+        x = self.off[i] + self.scl[i] * tc
+        x2 = 2 * x
+        c1, c0 = self.coef[0][i], self.coef[1][i]
+        for a in self.coef[2:]:
+            c0, c1 = a[i] - c1, c0 + c1 * x2
+        out = c0 + c1 * x
+        if self.left is not None:
+            out = np.where(t <= b[0], self.left, out)
+        if self.right is not None:
+            out = np.where(t >= b[-1], self.right, out)
+        return out
+
+
+def _dedupe(points, eps=_BND_EPS):
+    out = []
+    for p in sorted(points):
+        if not out or p - out[-1] > eps:
+            out.append(p)
+    return out
+
+
+def _interp_pieces(bounds, fn):
+    """Degree-32 Chebyshev coefficients of fn, one row per [bounds[i], bounds[i+1]].
+
+    fn maps the flat array of every piece's 33 nodes to values in one call.
+    Nodes and coefficients are computed as Chebyshev.interpolate computes
+    them (one matrix-vector product per piece keeps them bit-identical).
+    """
+    b = np.asarray(bounds, dtype=float)
+    lo, hi = b[:-1, None], b[1:, None]
+    # numpy's mapdomain from the window [-1, 1] to each piece
+    nodes = (lo + hi) / 2.0 + (hi - lo) / 2.0 * _CHEB_PTS
+    ys = np.reshape(fn(nodes.ravel()), nodes.shape)
+    coef = np.array([np.dot(_CHEB_VANDER.T, y) for y in ys])
+    coef[:, 0] /= _CHEB_DEG + 1
+    coef[:, 1:] /= 0.5 * (_CHEB_DEG + 1)
+    return coef
+
+
+def _antiderivative(bounds, fn, start=0.0):
+    """Running integral F of fn over the pieces of bounds, F(bounds[0]) = start.
+
+    Returns (coef, tail): F's Chebyshev coefficients, one row of degree 33
+    per piece, and per piece (b - a)(|c_31| + |c_32|) from the last two
+    coefficients of fn's interpolant, an estimate of the error it adds to F.
+    """
+    coef = _interp_pieces(bounds, fn)
+    width = np.diff(np.asarray(bounds, dtype=float))
+    anti = coef @ _CHEB_INTEG * (0.5 * width)[:, None]
+    rise = anti.sum(axis=1)  # F's rise over each piece: every T_k is 1 at +1
+    anti[:, 0] += start + np.concatenate(([0.0], np.cumsum(rise[:-1])))
+    return anti, width * np.abs(coef[:, -2:]).sum(axis=1)

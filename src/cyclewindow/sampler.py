@@ -171,6 +171,8 @@ def estimate_pmf(n, iv: Interval, sigma, samples, seed):
         raise DomainError(f"need finite sigma > 0, got {sigma}")
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples}")
+    if seed < 0:
+        raise DomainError(f"need seed >= 0, got {seed}")
     w = normalized_window(n, iv.gamma, iv.delta)
     # log1p(theta/(i-1)) = -log(1-p_i) stays finite where p_i rounds to 1
     hazard = np.concatenate(([0.0], np.cumsum(np.log1p(float(sigma) / np.arange(1, n)))))

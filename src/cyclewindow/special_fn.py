@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
-from numpy.polynomial.chebyshev import Chebyshev
-
 from .errors import DomainError
-from .quadrature import QuadratureConfig, RULE_SIMPSON, integrate
+from .quadrature import (
+    QuadratureConfig, RULE_SIMPSON, _antiderivative, _PiecewiseCheb, integrate,
+)
 
 _PI2_6 = math.pi * math.pi / 6.0
 
@@ -68,56 +68,27 @@ def dilog(x):
 # which would force omega(2) = 0 and contradict continuity; the form above is
 # the one consistent with omega = 1/u on [1, 2].)
 #
-# The delay structure makes naive recursion quadratic, so each unit interval
-# [m, m+1] is tabulated once as a Chebyshev interpolant, built lazily up to
-# the largest u requested.  Chebyshev pieces integrate exactly, giving the
-# running antiderivative F(v) = integral_1^v omega needed by the next piece.
+# F(u) = u*omega(u) is 1 on [1, 2] and F(u) = F(m) + int_m^u F(s-1)/(s-1) ds
+# on [m, m+1]: each unit piece is one antiderivative of the piece before it,
+# the method of steps.  The table is built once, on the first call.
 
-_CHEB_POINTS = 40
 # The tabulated omega(u) is within 1e-14 of its limit e^{-euler_gamma} for
 # every u in [12, 60], so omega is taken constant past this point; the table
 # then stays bounded and a huge u costs no more than u = 30.
 _U_CLAMP = 30.0
 
 
-class _BuchstabTable:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._pieces = []        # piece i covers [i+2, i+3]
-        self._anti = []          # antiderivative of piece i, zero at its left end
-        self._f_left = []        # F(m) at the left end of piece i
-
-    def _f(self, v):
-        # F(v) = integral_1^v omega(t) dt for v <= right end of built pieces
-        if v <= 2.0:
-            return math.log(v)
-        i = min(int(v) - 2, len(self._pieces) - 1)
-        return self._f_left[i] + self._anti[i](v)
-
-    def _extend_to(self, u):
-        while len(self._pieces) + 2 < u:
-            m = len(self._pieces) + 2
-            f = self._f
-
-            def omega_piece(t, f=f):
-                return (1.0 + f(t - 1.0)) / t
-
-            cheb = Chebyshev.interpolate(
-                lambda ts: [omega_piece(t) for t in ts], _CHEB_POINTS,
-                domain=[m, m + 1])
-            self._pieces.append(cheb)
-            self._anti.append(cheb.integ(lbnd=m))
-            prev_left = math.log(2.0) if m == 2 else self._f_left[-1] + self._anti[-2](m)
-            self._f_left.append(prev_left)
-
-    def eval(self, u):
-        with self._lock:
-            self._extend_to(u)
-            i = min(int(u) - 2, len(self._pieces) - 1)
-            return float(self._pieces[i](u))
-
-
-_table = _BuchstabTable()
+@functools.cache
+def _buchstab_table():
+    """F(u) = u*omega(u) as Chebyshev pieces on [m, m+1], m = 2.._U_CLAMP-1."""
+    prev = _PiecewiseCheb([1.0, 2.0], [[1.0, 0.0]], None, None)  # F = 1 on [1, 2]
+    rows = []
+    for m in range(2, int(_U_CLAMP)):
+        coef, _ = _antiderivative([m, m + 1.0], lambda s, f=prev: f(s - 1.0) / (s - 1.0),
+                                  float(prev(m)))
+        prev = _PiecewiseCheb([m, m + 1.0], coef, None, None)
+        rows.append(coef[0])
+    return _PiecewiseCheb(range(2, int(_U_CLAMP) + 1), rows, None, None)
 
 
 def buchstab(u):
@@ -126,7 +97,8 @@ def buchstab(u):
         raise DomainError(f"buchstab defined for finite u >= 1, got {u}")
     if u <= 2.0:
         return 1.0 / u
-    return _table.eval(min(u, _U_CLAMP))
+    u = min(u, _U_CLAMP)
+    return float(_buchstab_table()(u)) / u
 
 
 def buchstab_max_residual(iv: RealInterval, points: int, cfg=None):

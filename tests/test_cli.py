@@ -198,6 +198,13 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in err
 
+    def test_negative_seed_exits_2(self, capsys):
+        rc, _, err = run_capture(capsys, "sample", "--n", "10", "--gamma",
+                                 "1/4", "--delta", "1/2", "--draws", "10",
+                                 "--seed", "-1")
+        assert rc == 2
+        assert "error:" in err and "seed" in err
+
     def test_nan_sigma_ewens_lambda_exits_2(self, capsys):
         rc, _, err = run_capture(capsys, "ewens-lambda", "--gamma", "1/4",
                                  "--delta", "1/3", "--sigma", "nan")

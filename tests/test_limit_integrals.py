@@ -7,6 +7,7 @@ and high-precision evaluation of the analytic formulas.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +15,12 @@ import pytest
 from numpy.polynomial.chebyshev import Chebyshev
 
 from cyclewindow.errors import DomainError
+from cyclewindow.exact_finite import exact_pmf, normalized_window
 from cyclewindow.limit_integrals import (
     Interval, Q_recurrence, _interp_pieces, _PiecewiseCheb, argmax_p,
     ewens_lambda, gamma_star, p1_derivative, p_limit, q2_closed_form, q_limit,
     sliced_cube_integral, small_simplex_ratio, support_bound,
 )
-from cyclewindow.quadrature import QuadratureConfig
 from cyclewindow.quasi_poisson import (
     MomentVector, falling_moment, pmf_from_falling_moments,
 )
@@ -41,15 +42,20 @@ class TestInterval:
             Interval(0.4, 1.1)
 
 
+def _chebs(bounds, coef):
+    """The numpy Chebyshev object of each coefficient row on its piece."""
+    return [Chebyshev(c, domain=[a, b]) for a, b, c in zip(bounds, bounds[1:], coef)]
+
+
 class TestPiecewiseCheb:
     def test_bit_identical_to_numpy_in_every_piece(self):
         # A level-like table: kink at 0.3, pieces of uneven width.
         bounds = [0.15, 0.3, 0.42, 0.9]
         level = lambda t: np.log(t / 0.15) * np.log(np.maximum(t, 0.3) / 0.3 + 1.0)
-        chebs = _interp_pieces(bounds, level)
-        table = _PiecewiseCheb(bounds, chebs, left=0.0, right=None)
+        coef = _interp_pieces(bounds, level)
+        table = _PiecewiseCheb(bounds, coef, left=0.0, right=None)
         rng = random.Random(20260815)
-        for a, b, cheb in zip(bounds, bounds[1:], chebs):
+        for a, b, cheb in zip(bounds, bounds[1:], _chebs(bounds, coef)):
             for _ in range(2000):
                 t = rng.uniform(a, b)
                 assert table(t) == float(cheb(t))
@@ -57,8 +63,9 @@ class TestPiecewiseCheb:
     def test_array_call_bit_identical_to_numpy(self):
         bounds = [0.15, 0.3, 0.42, 0.9]
         level = lambda t: np.log(t / 0.15) * np.log(np.maximum(t, 0.3) / 0.3 + 1.0)
-        chebs = _interp_pieces(bounds, level)
-        table = _PiecewiseCheb(bounds, chebs, left=0.0, right=None)
+        coef = _interp_pieces(bounds, level)
+        table = _PiecewiseCheb(bounds, coef, left=0.0, right=None)
+        chebs = _chebs(bounds, coef)
         rng = np.random.default_rng(20260815)
         ts = np.concatenate([rng.uniform(a, b, 2000)
                              for a, b in zip(bounds, bounds[1:])])
@@ -71,7 +78,7 @@ class TestPiecewiseCheb:
 
     def test_interp_pieces_match_chebyshev_interpolate(self):
         bounds = [0.1, 0.25, 0.6]
-        chebs = _interp_pieces(bounds, np.exp)
+        chebs = _chebs(bounds, _interp_pieces(bounds, np.exp))
         for a, b, cheb in zip(bounds, bounds[1:], chebs):
             want = Chebyshev.interpolate(np.exp, 32, domain=[a, b])
             assert list(cheb.coef) == list(want.coef)
@@ -211,6 +218,15 @@ class TestQRecurrence:
         assert Q_recurrence(k, g) == pytest.approx(
             q_limit(k, Interval(g, 1.0)), rel=1e-9, abs=1e-7)
 
+    @pytest.mark.parametrize("k,g", [(4, 0.02), (5, 0.04), (6, 0.02)])
+    def test_small_gamma_matches_general_moment_path(self, k, g):
+        # the ladder's reported error must cover its distance to the oracle
+        want = Q_recurrence(k, g)
+        val, err = sliced_cube_integral(k, Interval(g, 1.0), 1.0, with_error=True)
+        assert q_limit(k, Interval(g, 1.0)) == val
+        assert abs(val - want) <= 1e-12 * want
+        assert err >= abs(val - want)
+
     def test_near_threshold_scaling(self):
         # As gamma -> 1/k the moment collapses like the volume of a
         # shrinking simplex: Q_k ~ (1 - k*gamma)^k * k^k / k!.
@@ -245,6 +261,16 @@ class TestSupportBound:
         assert support_bound(1 / 3) == 3
         assert support_bound(0.2) == 5
         assert support_bound(0.26) == 3
+
+
+def _richardson_dp(gamma, delta, n):
+    """Limit pmf from exact_pmf at n, 2n, 4n, extrapolated twice in 1/n."""
+    rows = [np.array(exact_pmf(m, normalized_window(m, gamma, delta)).as_floats())
+            for m in (n, 2 * n, 4 * n)]
+    size = max(map(len, rows))
+    p1, p2, p4 = (np.pad(r, (0, size - len(r))) for r in rows)
+    r1, r2 = 2 * p2 - p1, 2 * p4 - p2
+    return (4 * r2 - r1) / 3
 
 
 class TestPLimit:
@@ -306,6 +332,18 @@ class TestPLimit:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a == pytest.approx(b, abs=1e-14)
+
+    @pytest.mark.parametrize("g,d,n", [(Fraction(1, 50), 1, 2500),
+                                       (Fraction(1, 100), 1, 2500),
+                                       (Fraction(1, 80), Fraction(1, 40), 4000)])
+    def test_small_gamma_matches_extrapolated_dp(self, g, d, n):
+        t0 = time.perf_counter()
+        got = np.array(p_limit(Interval(g, d)).as_floats())
+        assert time.perf_counter() - t0 < 1.0
+        want = _richardson_dp(g, d, n)
+        size = max(len(got), len(want))
+        got, want = (np.pad(p, (0, size - len(p))) for p in (got, want))
+        assert np.abs(got - want).max() <= 1e-7
 
     def test_deep_window_box_moments(self):
         # gamma near 1/20, delta near 1/10: support 20, 18 nested levels.
@@ -372,6 +410,12 @@ class TestArgmaxP:
             argmax_p(1, 0.5, 0.4)
         with pytest.raises(DomainError):
             argmax_p(4, 0.3, 0.5)  # index beyond support at lo
+        # tol = 0 would bisect forever and nan would skip the search
+        for tol in (0.0, math.nan):
+            t0 = time.perf_counter()
+            with pytest.raises(DomainError):
+                argmax_p(1, 0.34, 0.49, tol=tol)
+            assert time.perf_counter() - t0 < 1.0
 
 
 class TestSmallSimplexRatio:

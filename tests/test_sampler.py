@@ -197,6 +197,8 @@ class TestEstimatePmf:
             estimate_pmf(10, iv, 0.0, 100, seed=0)
         with pytest.raises(DomainError):
             estimate_pmf(10, iv, 1.0, 0, seed=0)
+        with pytest.raises(DomainError):
+            estimate_pmf(10, iv, 1.0, 100, seed=-1)
 
 
     @pytest.mark.parametrize("sigma", [math.inf, math.nan])

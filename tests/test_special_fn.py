@@ -100,8 +100,8 @@ class TestBuchstab:
             buchstab_max_residual(RealInterval(1.0, 3.0), 5)
 
     def test_concurrent_table_growth(self):
-        # hammer a fresh region from several threads; lock must keep the
-        # lazily built table consistent
+        # hammer the table from several threads; every thread must see
+        # a consistent table, however many of them reach it first
         errs = []
 
         def worker(u):
