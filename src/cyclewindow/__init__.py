@@ -6,7 +6,7 @@ other."""
 __version__ = "0.1.0"
 
 from .errors import DomainError, InvalidMomentsError, ToleranceNotMet
-from .quadrature import RULE_GK15, RULE_SIMPSON, QuadratureConfig, integrate
+from .quadrature import integrate, integrate_simpson
 from .special_fn import RealInterval, buchstab, buchstab_max_residual, dilog
 from .quasi_poisson import (
     MomentVector, Pmf, binomial_matrices, falling_moment,
@@ -25,7 +25,7 @@ from .sampler import CycleLengths, EstimateResult, estimate_pmf, sample_cycle_le
 __all__ = [
     "__version__",
     "DomainError", "InvalidMomentsError", "ToleranceNotMet",
-    "QuadratureConfig", "RULE_GK15", "RULE_SIMPSON", "integrate",
+    "integrate", "integrate_simpson",
     "RealInterval", "buchstab", "buchstab_max_residual", "dilog",
     "Pmf", "MomentVector", "qp_pmf", "falling_moment",
     "pmf_from_falling_moments", "binomial_matrices",

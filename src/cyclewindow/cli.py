@@ -1,7 +1,7 @@
 """Command-line interface: compute, compare, and export the distributions.
 
-Each subcommand is one row of SUBCOMMANDS: a compute function, the options it
-declares, and whether it takes --tol.  Every subcommand prints a Report: a
+Each subcommand is one row of SUBCOMMANDS: a compute function and the options
+it declares.  Every subcommand prints a Report: a
 human table by default, machine JSON with --json, CSV with --csv (the `figure`
 subcommand defaults to CSV since its output is a data file).  Exit codes:
 0 success, 2 argument or domain errors, 3 quadrature tolerance not met (the
@@ -15,15 +15,15 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError, InvalidMomentsError, ToleranceNotMet
 from .exact_finite import IntWindow, exact_falling_moment, exact_pmf, normalized_window
 from .limit_integrals import (
-    Interval, QuadratureConfig, argmax_p, ewens_lambda, gamma_star, p_limit,
-    q2_closed_form, sliced_cube_integral,
+    Interval, argmax_p, ewens_lambda, gamma_star, p_limit, q2_closed_form,
+    sliced_cube_integral,
 )
 from .quasi_poisson import qp_pmf
 from .sampler import estimate_pmf
@@ -43,31 +43,13 @@ class Report:
     version: str = __version__
 
     def to_json(self):
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "results": self.results,
-        }
-        if self.errors is not None:
-            payload["errors"] = self.errors
-        payload["elapsed_ms"] = self.elapsed_ms
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        payload["version"] = self.version
-        return json.dumps(payload, indent=2)
+        """The fields in order as a JSON object; errors and seed only when set."""
+        return json.dumps({k: v for k, v in asdict(self).items()
+                           if v is not None or k not in ("errors", "seed")}, indent=2)
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-        return cls(
-            command=data["command"],
-            params=data["params"],
-            results=data["results"],
-            errors=data.get("errors"),
-            elapsed_ms=data["elapsed_ms"],
-            seed=data.get("seed"),
-            version=data["version"],
-        )
+        return cls(**json.loads(text))
 
     def to_table(self):
         lines = [f"command: {self.command}"]
@@ -157,23 +139,23 @@ def emit_figure_data(lo, hi, points):
     return rows
 
 
-# Compute functions take the parsed options (keyed by argparse dest) and a
-# QuadratureConfig or None, and return results or (results, errors).  They
-# read library names from the module globals at call time, so rebinding
-# cli.p_limit or cli.emit_figure_data reaches them.
+# Compute functions take the parsed options (keyed by argparse dest) and
+# return results or (results, errors).  They read library names from the
+# module globals at call time, so rebinding cli.p_limit or cli.emit_figure_data
+# reaches them.
 
-def _limit_pmf(o, cfg):
+def _limit_pmf(o):
     pmf = p_limit(Interval(o["gamma"], o["delta"]))
     return {"pmf": list(pmf.as_floats()), "support": len(pmf) - 1}
 
 
-def _limit_moment(o, cfg):
+def _limit_moment(o):
     val, err = sliced_cube_integral(o["r"], Interval(o["gamma"], o["delta"]), 1.0,
                                     with_error=True)
     return {"q_r": val}, {"estimate": err}
 
 
-def _exact_pmf(o, cfg):
+def _exact_pmf(o):
     w = normalized_window(o["n"], o["gamma"], o["delta"])
     rational = o["exact_rational"]
     pmf = exact_pmf(o["n"], w, rational=True if rational else None)
@@ -181,12 +163,12 @@ def _exact_pmf(o, cfg):
             "pmf": [str(p) for p in pmf.probs] if rational else list(pmf.as_floats())}
 
 
-def _exact_moment(o, cfg):
+def _exact_moment(o):
     val = exact_falling_moment(o["n"], IntWindow(o["a"], o["b"]), o["r"])
     return {"moment": str(val), "moment_float": float(val)}
 
 
-def _sample(o, cfg):
+def _sample(o):
     est = estimate_pmf(o["n"], Interval(o["gamma"], o["delta"]), o["sigma"], o["draws"],
                        o["seed"])
     w = normalized_window(o["n"], o["gamma"], o["delta"])
@@ -195,13 +177,13 @@ def _sample(o, cfg):
             "mean": est.mean, "mean_stderr": est.mean_stderr}
 
 
-def _gamma_star(o, cfg):
+def _gamma_star(o):
     g0 = gamma_star()
     p = p_limit(Interval(g0, 1.0)).as_floats()
     return {"gamma_star": g0, "P0": p[0], "P1": p[1], "P2": p[2]}
 
 
-def _argmax(o, cfg):
+def _argmax(o):
     g = argmax_p(o["i"], o["lo"], o["hi"])
     p = p_limit(Interval(g, 1.0)).as_floats()
     return {"argmax": g, "p_i": p[o["i"]] if o["i"] < len(p) else 0.0}
@@ -209,28 +191,28 @@ def _argmax(o, cfg):
 
 _WINDOW = {"gamma": _ratio, "delta": _ratio}
 
-# name -> (compute, options, takes --tol).  An option's kind is a type for a
-# required option, (type, default) for an optional one, or bool for a flag.
+# name -> (compute, options).  An option's kind is a type for a required
+# option, (type, default) for an optional one, or bool for a flag.
 SUBCOMMANDS = {
-    "limit-pmf": (_limit_pmf, _WINDOW, False),
-    "limit-moment": (_limit_moment, {"r": int, **_WINDOW}, False),
-    "exact-pmf": (_exact_pmf, {"n": int, **_WINDOW, "exact-rational": bool}, False),
-    "exact-moment": (_exact_moment, {"n": int, "a": int, "b": int, "r": int}, False),
-    "qp": (lambda o, cfg: {"pmf": list(qp_pmf(o["r"], o["lambda"]).as_floats())},
-           {"r": int, "lambda": float}, False),
+    "limit-pmf": (_limit_pmf, _WINDOW),
+    "limit-moment": (_limit_moment, {"r": int, **_WINDOW}),
+    "exact-pmf": (_exact_pmf, {"n": int, **_WINDOW, "exact-rational": bool}),
+    "exact-moment": (_exact_moment, {"n": int, "a": int, "b": int, "r": int}),
+    "qp": (lambda o: {"pmf": list(qp_pmf(o["r"], o["lambda"]).as_floats())},
+           {"r": int, "lambda": float}),
     "sample": (_sample, {"n": int, **_WINDOW, "sigma": (float, 1.0), "draws": int,
-                         "seed": int}, False),
-    "gamma-star": (_gamma_star, {}, False),
-    "argmax": (_argmax, {"i": int, "lo": float, "hi": float}, False),
-    "figure": (lambda o, cfg: {
+                         "seed": int}),
+    "gamma-star": (_gamma_star, {}),
+    "argmax": (_argmax, {"i": int, "lo": float, "hi": float}),
+    "figure": (lambda o: {
         "rows": emit_figure_data(o["lo"], o["hi"], o["points"]),
         "rows_columns": ["gamma", "P0", "P1", "P2"]},
-        {"lo": float, "hi": float, "points": int}, False),
-    "buchstab": (lambda o, cfg: {"omega": buchstab(o["u"])}, {"u": float}, False),
-    "dilog": (lambda o, cfg: {"Li2": dilog(o["x"])}, {"x": float}, False),
-    "ewens-lambda": (lambda o, cfg: {
-        "lambda": ewens_lambda(Interval(o["gamma"], o["delta"]), o["sigma"], cfg)},
-        {**_WINDOW, "sigma": float}, True),
+        {"lo": float, "hi": float, "points": int}),
+    "buchstab": (lambda o: {"omega": buchstab(o["u"])}, {"u": float}),
+    "dilog": (lambda o: {"Li2": dilog(o["x"])}, {"x": float}),
+    "ewens-lambda": (lambda o: {
+        "lambda": ewens_lambda(Interval(o["gamma"], o["delta"]), o["sigma"])},
+        {**_WINDOW, "sigma": float}),
 }
 
 
@@ -241,7 +223,7 @@ def _build_parser():
                     "permutation with normalized length in a window.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, options, takes_tol) in SUBCOMMANDS.items():
+    for name, (_, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--json", action="store_true")
         p.add_argument("--csv", action="store_true")
@@ -252,8 +234,6 @@ def _build_parser():
                 p.add_argument("--" + opt, type=kind[0], default=kind[1])
             else:
                 p.add_argument("--" + opt, type=kind, required=True)
-        if takes_tol:
-            p.add_argument("--tol", type=float)
     return parser
 
 
@@ -262,12 +242,11 @@ def run(argv):
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    compute, options, _ = SUBCOMMANDS[args.subcommand]
+    compute, options = SUBCOMMANDS[args.subcommand]
     opts = vars(args)
     started = time.perf_counter()
     try:
-        tol = opts.get("tol")
-        out = compute(opts, None if tol is None else QuadratureConfig(abs_tol=tol))
+        out = compute(opts)
     except (DomainError, InvalidMomentsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

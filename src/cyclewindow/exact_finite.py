@@ -20,6 +20,7 @@ from .quasi_poisson import Pmf
 
 RATIONAL_LIMIT = 200
 DP_TABLE_MAX_BYTES = 1 << 28  # exact_pmf refuses larger tables
+MOMENT_MAX_WORK = 2 * 10**9  # bit operations; exact_falling_moment refuses more
 
 
 @dataclass(frozen=True)
@@ -207,6 +208,9 @@ def exact_falling_moment(n, w: IntWindow, r):
     s <= n, and the moment is the sum of f_r, taken as the sum of f_{r-1}(t)
     times the window's harmonic sum up to n - t.  The f_j are carried as
     integers over the common denominator d**j, d = lcm of the window lengths.
+    d has under 1.5*b bits, so the work is about width * 1.5b bit operations
+    for d and (n+1) * width * (j+1) * 1.5b for pass j; a call over
+    MOMENT_MAX_WORK is refused with DomainError before it starts.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -214,6 +218,11 @@ def exact_falling_moment(n, w: IntWindow, r):
         raise DomainError(f"need r >= 0, got {r}")
     if r == 0:
         return Fraction(1)
+    width = max(min(w.b, n) - w.a + 1, 0)
+    work = width * 1.5 * min(w.b, n) * (1 + r * (r - 1) // 2 * (n + 1))
+    if work > MOMENT_MAX_WORK:
+        raise DomainError(f"exact_falling_moment for n = {n}, window [{w.a}, {w.b}] and "
+                          f"r = {r} needs about {work:.1e} bit operations, over the cap")
     d = math.lcm(*range(w.a, min(w.b, n) + 1))
     inv = [d // k if w.a <= k <= w.b else 0 for k in range(n + 1)]
     f = [1] + [0] * n

@@ -21,14 +21,14 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import (
-    _BND_EPS, QuadratureConfig, _antiderivative, _dedupe, _interp_pieces,
-    _PiecewiseCheb, integrate, integrate_many,
+    _BND_EPS, _antiderivative, _dedupe, _interp_pieces, _PiecewiseCheb, integrate,
+    integrate_many,
 )
 from .quasi_poisson import MomentVector, pmf_from_falling_moments
 from .special_fn import dilog
 
 __all__ = [
-    "Interval", "QuadratureConfig", "sliced_cube_integral", "q_limit",
+    "Interval", "sliced_cube_integral", "q_limit",
     "q2_closed_form", "Q_recurrence", "p_limit", "p1_derivative",
     "gamma_star", "argmax_p", "small_simplex_ratio", "ewens_lambda",
 ]
@@ -70,13 +70,20 @@ class Interval:
 # (log(delta/gamma))^m above m*delta.  Its integrand's continuation is
 # singular at (m-1)*gamma, so the pieces are also graded at m*gamma + gamma*2^i.
 
+LADDER_MAX_ORDER = 1000  # (1/1000, 1) peaks at 2e298; (1/1200, 1) overflows float64
+
+
 def _sliced_moments(r, g, d, c):
     """(value, err) of the c-slice integral for each order 1..r, in order.
 
     Level m is tabulated on [m*gamma, min(m*delta, c)] and order m is I_m(c).
     err sums (b-a)(|c_31|+|c_32|) of every integrand piece up to level m,
-    plus 8*m*eps*|value| of rounding.
+    plus 8*m*eps*|value| of rounding.  Raises DomainError, before building
+    any level, when an order above LADDER_MAX_ORDER can be nonzero.
     """
+    if min(r, c / g) > LADDER_MAX_ORDER:
+        raise DomainError(f"window ({g!r}, {d!r}) needs sliced moments past the "
+                          f"ladder's order cap {LADDER_MAX_ORDER}; they can overflow float64")
     level, tails = (lambda t: np.log(np.clip(t, g, d) / g)), 0.0
     for m in range(1, r + 1):
         lo, hi = m * g, min(m * d, c)
@@ -151,7 +158,7 @@ def q2_closed_form(iv: Interval):
 # for integers m > j; levels are tabulated on the argument ranges actually
 # reachable from the target gamma.
 
-def _integrate_Q(xs, j, prev_fn, cfg):
+def _integrate_Q(xs, j, prev_fn):
     """Q_j at every x in the flat array xs; kinks at z = 1 - m*x for m >= j."""
     brks = []
     for x in xs.tolist():
@@ -161,21 +168,21 @@ def _integrate_Q(xs, j, prev_fn, cfg):
             m += 1
         brks.append(row)
     vals, _ = integrate_many(lambda z, own: prev_fn(xs[own, None] / (1.0 - z)) / z,
-                             xs, 1.0 - (j - 1) * xs, cfg, brks)
+                             xs, 1.0 - (j - 1) * xs, breakpoints=brks)
     return vals
 
 
-def _build_Q_level(j, lo, cfg, prev_fn):
+def _build_Q_level(j, lo, prev_fn):
     hi = 1.0 / j
     if lo >= hi - _BND_EPS:
         return lambda x: np.zeros(np.shape(x))
     inner = [1.0 / m for m in range(j + 1, int(1.0 / lo) + 2) if lo < 1.0 / m < hi]
     bounds = _dedupe([lo, hi] + inner)
-    coef = _interp_pieces(bounds, lambda xs: _integrate_Q(xs, j, prev_fn, cfg))
+    coef = _interp_pieces(bounds, lambda xs: _integrate_Q(xs, j, prev_fn))
     return _PiecewiseCheb(bounds, coef, left=None, right=0.0)
 
 
-def Q_recurrence(k, gamma, cfg=None):
+def Q_recurrence(k, gamma):
     """Q_k(gamma): limiting k-th falling moment for the window (gamma, 1]."""
     g = float(gamma)
     if k < 0:
@@ -188,14 +195,12 @@ def Q_recurrence(k, gamma, cfg=None):
         return 0.0
     if k == 1:
         return -math.log(g)
-    if cfg is None:
-        cfg = QuadratureConfig()
     prev_fn = lambda x: -np.log(np.minimum(x, 1.0))
     for j in range(2, k):
         # smallest argument reachable at depth j from the target gamma
         lo = g / (1.0 - (k - j) * g)
-        prev_fn = _build_Q_level(j, lo, cfg, prev_fn)
-    return float(_integrate_Q(np.array([g]), k, prev_fn, cfg)[0])
+        prev_fn = _build_Q_level(j, lo, prev_fn)
+    return float(_integrate_Q(np.array([g]), k, prev_fn)[0])
 
 
 # --- limiting pmf and derived quantities -------------------------------------
@@ -255,18 +260,17 @@ def gamma_star():
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ARGMAX_TOL = 1e-7  # argmax_p's bracket width on exit
 
 
-def argmax_p(i, lo, hi, tol=1e-7):
+def argmax_p(i, lo, hi):
     """Golden-section argmax over gamma in [lo, hi] of p_limit((gamma, 1))[i].
 
     Assumes (does not verify) unimodality of the objective on [lo, hi];
-    abscissa tolerance tol, which must be finite and positive.
+    returns the midpoint of a bracket narrower than _ARGMAX_TOL.
     """
     if not 0.0 < lo < hi <= 1.0:
         raise DomainError(f"need 0 < lo < hi <= 1, got ({lo}, {hi})")
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"need finite tol > 0, got {tol}")
     if i < 0 or i > support_bound(lo):
         raise DomainError(f"index {i} outside the support bound for gamma >= {lo}")
 
@@ -278,7 +282,7 @@ def argmax_p(i, lo, hi, tol=1e-7):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = val(c), val(d)
-    while b - a > tol:
+    while b - a > _ARGMAX_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -290,7 +294,7 @@ def argmax_p(i, lo, hi, tol=1e-7):
     return 0.5 * (a + b)
 
 
-def small_simplex_ratio(k, gamma, cfg=None):
+def small_simplex_ratio(k, gamma):
     """Q_k(gamma) / (1 - k*gamma)^k, bounded between k^k/k! and gamma^{-k}/k!.
 
     Tends to k^k/k! as gamma approaches 1/k (the window degenerates to a
@@ -301,10 +305,10 @@ def small_simplex_ratio(k, gamma, cfg=None):
         raise DomainError(f"need k >= 1, got {k}")
     if not 0.0 < g < 1.0 / k:
         raise DomainError(f"need 0 < gamma < 1/{k}, got {gamma}")
-    return Q_recurrence(k, g, cfg) / (1.0 - k * g) ** k
+    return Q_recurrence(k, g) / (1.0 - k * g) ** k
 
 
-def ewens_lambda(iv: Interval, sigma, cfg=None):
+def ewens_lambda(iv: Interval, sigma):
     """integral_gamma^delta x^{-1} (1-x)^{sigma-1} dx for sigma > 0.
 
     For delta = 1 the integrand can be singular at the right endpoint
@@ -314,15 +318,13 @@ def ewens_lambda(iv: Interval, sigma, cfg=None):
     s = float(sigma)
     if not (math.isfinite(s) and s > 0):
         raise DomainError(f"need finite sigma > 0, got {sigma}")
-    if cfg is None:
-        cfg = QuadratureConfig()
     g, d = iv.g, iv.d
     f = lambda x: (1.0 - x) ** (s - 1.0) / x
     if d < 1.0:
-        val, _ = integrate(f, g, d, cfg)
+        val, _ = integrate(f, g, d)
         return val
     eps = min(0.5, (1.0 - g) / 2.0)
-    head, _ = integrate(f, g, 1.0 - eps, cfg)
+    head, _ = integrate(f, g, 1.0 - eps)
     tail = 0.0
     term_pow = eps ** s
     m = 0

@@ -1,10 +1,12 @@
 """Adaptive one-dimensional quadrature.
 
-Two panel rules are available: a 15-point Gauss-Kronrod pair (default) and
-adaptive Simpson.  The Kronrod extension of the 7-point Gauss rule is built
-at import time from the degree-8 Stieltjes polynomial, not pasted in as
-decimal literals; the construction is exact-rational up to the final root
-solve, and a test pins polynomial exactness through degree 23.
+integrate and integrate_many use a 15-point Gauss-Kronrod pair, and
+integrate_simpson adaptive Simpson, kept for independent checks; each takes
+one setting, tol, the absolute error allowed for the whole integral.  The
+Kronrod extension of the 7-point Gauss rule is built at import time from the
+degree-8 Stieltjes polynomial, not pasted in as decimal literals; the
+construction is exact-rational up to the final root solve, and a test pins
+polynomial exactness through degree 23.
 
 The Gauss-Kronrod nodes are interior points, so integrands may be singular
 at the interval endpoints as long as the integral itself is finite.
@@ -14,10 +16,11 @@ of intervals at once: every round it evaluates the integrand on all live
 panels of all integrals in one array call, accepts or halves each panel,
 and finally sums each integral's panels pairwise up its split tree, so a
 batch gives each integral the value a depth-first recursion would give.
-integrate() is a batch of one over a scalar integrand; Simpson refinement
-stays a scalar recursion.  A non-finite panel estimate, or more than
-MAX_LIVE_PANELS live panels in one integral, raises ToleranceNotMet rather
-than refining on to max_depth.
+integrate() is a batch of one over a scalar integrand.  A panel whose error
+estimate is within its rounding floor, 50*eps*|value|, is accepted, since
+halving cannot reduce rounding noise.  A non-finite panel estimate, or more
+than MAX_LIVE_PANELS live panels in one integral, raises ToleranceNotMet
+rather than refining on to MAX_DEPTH.
 
 _PiecewiseCheb holds degree-32 Chebyshev interpolants on consecutive pieces
 and evaluates them on whole arrays.  _antiderivative integrates a function on
@@ -29,7 +32,6 @@ Equations, 1963) behind the limit ladder and the Buchstab function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,32 +39,8 @@ from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
 
 from .errors import DomainError, ToleranceNotMet
 
-RULE_GK15 = "gauss-kronrod-15"
-RULE_SIMPSON = "adaptive-simpson"
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and depth limits for one integrate() call.
-
-    Nested integrals construct one config per nesting level, so abs_tol is a
-    per-level budget.
-    """
-
-    abs_tol: float = 1e-11
-    rel_tol: float = 0.0
-    max_depth: int = 40
-    panel_rule: str = RULE_GK15
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
-        if self.rel_tol < 0:
-            raise DomainError("rel_tol must be nonnegative")
-        if not 4 <= self.max_depth <= 60:
-            raise DomainError("max_depth must lie in [4, 60]")
-        if self.panel_rule not in (RULE_GK15, RULE_SIMPSON):
-            raise DomainError(f"unknown panel rule {self.panel_rule!r}")
+MAX_DEPTH = 40  # a panel this deep is accepted whatever its error estimate
+_FLOOR = 50 * np.finfo(float).eps  # GK15 rounding floor, relative to |value|
 
 
 def _legendre_coeffs(n):
@@ -183,9 +161,10 @@ _GK_PAIRS = tuple(zip(GK15_WEIGHTS, GK15_GAUSS_WEIGHTS))
 
 # Live panels one integral may hold in a refinement round.  The widest
 # refinement in the test suite and the benchmark holds 128 (cos(40x) on
-# [0, 10]), and 1/(1e-6 + (x - 1/2)^2) at abs_tol 1e-11, refined into
-# rounding noise down to max_depth, holds 38,018.  An integrand that never
-# settles would otherwise double its panels every round up to max_depth.
+# [0, 10]); the rounding floor keeps a large integrand such as
+# 1/(1e-6 + (x - 1/2)^2) from refining into noise (it holds 12).  An
+# integrand that never settles would otherwise double its panels every round
+# up to MAX_DEPTH.
 MAX_LIVE_PANELS = 1 << 16
 
 
@@ -202,41 +181,39 @@ def _not_met(i, message, value=None, achieved=None, requested=None):
                            achieved=achieved, requested=requested)
 
 
-def integrate_many(f, los, his, cfg=None, breakpoints=None):
+def integrate_many(f, los, his, tol=1e-11, breakpoints=None):
     """Integrate n integrands, integral i over [los[i], his[i]], in one pass.
 
     f(x, owner) takes a (panels, 15) array of abscissae and the integral index
     of each row, and returns the integrand values in the same shape.
     breakpoints, if given, holds one iterable of kink abscissae per integral.
     Each integral follows the rules of integrate(): its pieces between
-    breakpoints get tolerance abs_tol*(b-a)/(hi-lo), halved at each split; a
-    GK15 panel is accepted when its error is at most max(tol, rel_tol*|value|)
-    or at max_depth; panel values and errors are summed pairwise up the split
-    tree, then piece by piece.  All live panels of all integrals are refined
-    together, breadth first, so f sees one array per round.
+    breakpoints get tolerance tol*(b-a)/(hi-lo), halved at each split; a GK15
+    panel is accepted when its error is at most the larger of its tolerance
+    and its rounding floor 50*eps*|value|, or at MAX_DEPTH; panel values,
+    errors and floors are summed pairwise up the split tree, then piece by
+    piece.  All live panels of all integrals are refined together, breadth
+    first, so f sees one array per round.
 
     Returns (values, errors) arrays.  Raises ToleranceNotMet, naming the
     first failing integral, when a panel estimate is not finite, when one
     integral needs more than MAX_LIVE_PANELS live panels, or when an
-    integral's summed error exceeds max(abs_tol, rel_tol*|value|).  GK15
-    only: a Simpson config raises DomainError (use integrate() for Simpson).
+    integral's summed error exceeds tol plus its summed floors.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if cfg.panel_rule != RULE_GK15:
-        raise DomainError(f"integrate_many supports only {RULE_GK15!r}, got {cfg.panel_rule!r}")
+    if not tol > 0:
+        raise DomainError(f"need tol > 0, got {tol}")
     n = len(los)
     if breakpoints is None:
         breakpoints = [()] * n
-    owner, lo, hi, tol = [], [], [], []
+    owner, lo, hi, ptol = [], [], [], []
     for i, (a, b, bps) in enumerate(zip(los, his, breakpoints)):
         for pa, pb in _pieces(a, b, bps):
             owner.append(i)
             lo.append(pa)
             hi.append(pb)
-            tol.append(cfg.abs_tol * (pb - pa) / (b - a))
+            ptol.append(tol * (pb - pa) / (b - a))
     first_owner = owner = np.array(owner, dtype=np.intp)
-    lo, hi, tol = np.array(lo, dtype=float), np.array(hi, dtype=float), np.array(tol)
+    lo, hi, ptol = np.array(lo, dtype=float), np.array(hi, dtype=float), np.array(ptol)
     rounds = []
     depth = 0
     while owner.size:
@@ -257,16 +234,17 @@ def integrate_many(f, los, his, cfg=None, breakpoints=None):
         if bad.size:
             k = bad[0]
             raise _not_met(int(owner[k]), f"non-finite panel estimate on "
-                           f"[{lo[k]!r}, {hi[k]!r}]", requested=float(tol[k]))
-        if depth >= cfg.max_depth:
+                           f"[{lo[k]!r}, {hi[k]!r}]", requested=float(ptol[k]))
+        floor = _FLOOR * np.abs(val)
+        if depth >= MAX_DEPTH:
             split = np.zeros(owner.size, dtype=bool)
         else:
-            split = err > np.maximum(tol, cfg.rel_tol * np.abs(val))
-        rounds.append((val, err, split))
+            split = err > np.maximum(ptol, floor)
+        rounds.append((val, err, floor, split))
         lo, hi, mid = lo[split], hi[split], mid[split]
         lo = np.column_stack((lo, mid)).ravel()
         hi = np.column_stack((mid, hi)).ravel()
-        tol = np.repeat(0.5 * tol[split], 2)
+        ptol = np.repeat(0.5 * ptol[split], 2)
         owner = np.repeat(owner[split], 2)
         if owner.size > MAX_LIVE_PANELS:
             live = np.bincount(owner)
@@ -276,16 +254,16 @@ def integrate_many(f, los, his, cfg=None, breakpoints=None):
         depth += 1
     # a split panel's estimate is the sum of its two halves, as in a recursion
     below = None
-    for val, err, split in reversed(rounds):
+    for *sums, split in reversed(rounds):
         if below is not None:
-            val[split] = below[0][0::2] + below[0][1::2]
-            err[split] = below[1][0::2] + below[1][1::2]
-        below = val, err
-    totals, errs = np.zeros(n), np.zeros(n)
+            for total, half in zip(sums, below):
+                total[split] = half[0::2] + half[1::2]
+        below = sums
+    totals, errs, floors = np.zeros(n), np.zeros(n), np.zeros(n)
     if below is not None:
-        np.add.at(totals, first_owner, below[0])
-        np.add.at(errs, first_owner, below[1])
-    allowed = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(totals))
+        for out, panel in zip((totals, errs, floors), below):
+            np.add.at(out, first_owner, panel)
+    allowed = tol + floors
     failed = np.flatnonzero(errs > allowed)
     if failed.size:
         i = int(failed[0])
@@ -295,11 +273,26 @@ def integrate_many(f, los, his, cfg=None, breakpoints=None):
     return totals, errs
 
 
+def integrate(f, lo, hi, tol=1e-11, breakpoints=()):
+    """Integrate the scalar function f over [lo, hi] by adaptive GK15.
+
+    breakpoints are interior abscissae where f or one of its derivatives has
+    a kink; the interval is pre-split there so no panel straddles one
+    (adaptive rules converge slowly across kinks).  Returns
+    (value, error_estimate) and raises ToleranceNotMet as integrate_many
+    does, of which this is a batch of one.
+    """
+    mapped = lambda x, _owner: np.array(
+        [f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    vals, errs = integrate_many(mapped, [lo], [hi], tol, [breakpoints])
+    return float(vals[0]), float(errs[0])
+
+
 def _simpson(fa, fm, fb, lo, hi):
     return (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _adapt_simpson(f, lo, hi, fa, fm, fb, whole, tol, rel_tol, depth, max_depth):
+def _adapt_simpson(f, lo, hi, fa, fm, fb, whole, tol, depth):
     mid = 0.5 * (lo + hi)
     lm = 0.5 * (lo + mid)
     rm = 0.5 * (mid + hi)
@@ -312,48 +305,35 @@ def _adapt_simpson(f, lo, hi, fa, fm, fb, whole, tol, rel_tol, depth, max_depth)
         raise ToleranceNotMet(f"non-finite panel estimate on [{lo!r}, {hi!r}]",
                               requested=tol)
     err = abs(delta) / 15.0
-    if err <= max(tol, rel_tol * abs(left + right)) or depth >= max_depth:
+    if err <= tol or depth >= MAX_DEPTH:
         return left + right + delta / 15.0, err
-    v1, e1 = _adapt_simpson(f, lo, mid, fa, flm, fm, left, 0.5 * tol, rel_tol,
-                            depth + 1, max_depth)
-    v2, e2 = _adapt_simpson(f, mid, hi, fm, frm, fb, right, 0.5 * tol, rel_tol,
-                            depth + 1, max_depth)
+    v1, e1 = _adapt_simpson(f, lo, mid, fa, flm, fm, left, 0.5 * tol, depth + 1)
+    v2, e2 = _adapt_simpson(f, mid, hi, fm, frm, fb, right, 0.5 * tol, depth + 1)
     return v1 + v2, e1 + e2
 
 
-def integrate(f, lo, hi, cfg=None, breakpoints=()):
-    """Integrate the scalar function f over [lo, hi] adaptively.
+def integrate_simpson(f, lo, hi, tol, breakpoints=()):
+    """Integrate the scalar function f over [lo, hi] by adaptive Simpson.
 
-    breakpoints are interior abscissae where f or one of its derivatives has
-    a kink; the interval is pre-split there so no panel straddles one
-    (adaptive rules converge slowly across kinks).  Returns
-    (value, error_estimate) and raises ToleranceNotMet when the summed
-    panel estimates exceed the configured tolerance or a panel estimate is
-    not finite.  The GK15 rule runs as a batch of one in integrate_many.
+    A scalar recursion with Richardson-corrected panels, kept as a rule that
+    shares no nodes with GK15.  breakpoints, the return value and the
+    failures are as in integrate(), without the rounding floor.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if cfg.panel_rule == RULE_GK15:
-        mapped = lambda x, _owner: np.array(
-            [f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-        vals, errs = integrate_many(mapped, [lo], [hi], cfg, [breakpoints])
-        return float(vals[0]), float(errs[0])
+    if not tol > 0:
+        raise DomainError(f"need tol > 0, got {tol}")
     width = hi - lo
     total = 0.0
     err = 0.0
     for a, b in _pieces(lo, hi, breakpoints):
-        tol_piece = cfg.abs_tol * (b - a) / width
         fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
         whole = _simpson(fa, fm, fb, a, b)
-        v, e = _adapt_simpson(f, a, b, fa, fm, fb, whole, tol_piece,
-                              cfg.rel_tol, 0, cfg.max_depth)
+        v, e = _adapt_simpson(f, a, b, fa, fm, fb, whole, tol * (b - a) / width, 0)
         total += v
         err += e
-    allowed = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-    if err > allowed:
+    if err > tol:
         raise ToleranceNotMet(
-            f"quadrature error estimate {err:.3e} exceeds tolerance {allowed:.3e}",
-            value=total, achieved=err, requested=allowed)
+            f"quadrature error estimate {err:.3e} exceeds tolerance {tol:.3e}",
+            value=total, achieved=err, requested=tol)
     return total, err
 
 

@@ -16,6 +16,8 @@ from numbers import Rational
 from .errors import DomainError, InvalidMomentsError
 
 _CLAMP_FLOOR = -1e-9
+_FLOAT_FACTORIAL_MAX = 170  # 171! exceeds the largest float
+INVERSION_MAX_ORDER = 2000  # the O(r^2) moment inversion takes about 1 s there
 
 
 def _is_exact(x):
@@ -33,8 +35,8 @@ class Pmf:
             raise DomainError("pmf needs at least one entry")
         exact = all(_is_exact(p) for p in self.probs)
         for p in self.probs:
-            if p < 0:
-                raise DomainError(f"negative probability {p}")
+            if not 0 <= p < math.inf:  # also refuses nan
+                raise DomainError(f"probability {p} is negative or not finite")
         total = sum(self.probs) if exact else math.fsum(self.probs)
         if exact:
             if total != 1:
@@ -72,8 +74,8 @@ class MomentVector:
         if self.moments[0] != 1:
             raise DomainError("m_0 must equal 1")
         for m in self.moments:
-            if m < 0:
-                raise DomainError(f"negative falling moment {m}")
+            if not 0 <= m < math.inf:  # also refuses nan
+                raise DomainError(f"falling moment {m} is negative or not finite")
 
     def __len__(self):
         return len(self.moments)
@@ -108,28 +110,57 @@ def falling_moment(pmf: Pmf, k):
     return math.fsum(terms)
 
 
+def _invert_exactly(moments, exact):
+    """The p_i of pmf_from_falling_moments in integer arithmetic.
+
+    Over the common denominator r! * L, L the lcm of the moments'
+    denominators, every a_j = m_j / j! is an integer, and the p_i are the
+    coefficients of sum_j a_j (x - 1)^j: a Taylor shift by subtractions.
+    Returns Fractions for exact moments, else floats each rounded once.
+    """
+    r = len(moments) - 1
+    ratios = [m.as_integer_ratio() for m in moments]
+    lcm, fact = math.lcm(*(den for _, den in ratios)), math.factorial(r)
+    a = [num * (lcm // den) * (fact // math.factorial(j)) for j, (num, den) in enumerate(ratios)]
+    for k in range(r):
+        for j in range(r - 1, k - 1, -1):
+            a[j] -= a[j + 1]
+    denom = fact * lcm
+    try:
+        return [Fraction(x, denom) if exact else x / denom for x in a]
+    except OverflowError:
+        raise InvalidMomentsError(f"moments are not realizable on {{0..{r}}}") from None
+
+
 def pmf_from_falling_moments(mv: MomentVector):
     """Invert falling moments (m_0..m_r) of a distribution on {0..r} to its pmf.
 
-    p_i = sum_{j=i}^{r} binom(j, i) (-1)^{j-i} m_j / j!.  Entries in
-    [-1e-9, 0) are treated as roundoff and clamped to 0; anything below
-    that is a genuine inconsistency and raises.  The result is renormalized
-    (a no-op for exact input).
+    p_i = sum_{j=i}^{r} binom(j, i) (-1)^{j-i} m_j / j!, exactly for exact
+    moments and for float ones past r = 170, where j! overflows a float.
+    Entries in [-1e-9, 0) are treated as roundoff and clamped to 0; anything
+    below that is a genuine inconsistency and raises.  The result is
+    renormalized (a no-op for exact input).  Raises DomainError past
+    r = INVERSION_MAX_ORDER.
     """
     r = len(mv) - 1
+    if r > INVERSION_MAX_ORDER:
+        raise DomainError(f"moment inversion stops at order {INVERSION_MAX_ORDER}, got {r}")
     exact = all(_is_exact(m) for m in mv.moments)
-    probs = []
-    for i in range(r + 1):
-        acc = Fraction(0) if exact else 0.0
-        for j in range(r, i - 1, -1):
-            term = math.comb(j, i) * mv[j] / (Fraction(math.factorial(j)) if exact else math.factorial(j))
-            acc += term if (j - i) % 2 == 0 else -term
-        if acc < 0:
-            if acc < _CLAMP_FLOOR:
-                raise InvalidMomentsError(
-                    f"moment vector is not realizable on {{0..{r}}}: p_{i} = {acc}")
-            acc = Fraction(0) if exact else 0.0
-        probs.append(acc)
+    if exact or r > _FLOAT_FACTORIAL_MAX:
+        raw = _invert_exactly(mv.moments, exact)
+    else:
+        raw = []
+        for i in range(r + 1):
+            acc = 0.0
+            for j in range(r, i - 1, -1):
+                term = math.comb(j, i) * mv[j] / math.factorial(j)
+                acc += term if (j - i) % 2 == 0 else -term
+            raw.append(acc)
+    bad = [i for i, p in enumerate(raw) if p < _CLAMP_FLOOR]
+    if bad:
+        raise InvalidMomentsError(
+            f"moment vector is not realizable on {{0..{r}}}: p_{bad[0]} = {raw[bad[0]]}")
+    probs = [p if p >= 0 else type(p)(0) for p in raw]
     total = sum(probs) if exact else math.fsum(probs)
     if total <= 0:
         raise InvalidMomentsError("moment inversion produced an all-zero pmf")

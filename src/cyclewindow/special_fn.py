@@ -7,9 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .quadrature import (
-    QuadratureConfig, RULE_SIMPSON, _antiderivative, _PiecewiseCheb, integrate,
-)
+from .quadrature import _antiderivative, _PiecewiseCheb, integrate_simpson
 
 _PI2_6 = math.pi * math.pi / 6.0
 
@@ -101,7 +99,7 @@ def buchstab(u):
     return float(_buchstab_table()(u)) / u
 
 
-def buchstab_max_residual(iv: RealInterval, points: int, cfg=None):
+def buchstab_max_residual(iv: RealInterval, points: int):
     """Max |u*omega(u) - 1 - integral_1^{u-1} omega| over a grid in iv.
 
     The integral is recomputed by adaptive Simpson over buchstab() values,
@@ -110,12 +108,10 @@ def buchstab_max_residual(iv: RealInterval, points: int, cfg=None):
     """
     if iv.lo < 2.0:
         raise DomainError("residual check applies for u >= 2")
-    if cfg is None:
-        cfg = QuadratureConfig(abs_tol=1e-10, panel_rule=RULE_SIMPSON)
     worst = 0.0
     for j in range(points):
         u = iv.lo + (iv.hi - iv.lo) * j / max(points - 1, 1)
         brk = [float(k) for k in range(2, int(u - 1) + 1)]
-        val, _ = integrate(buchstab, 1.0, u - 1.0, cfg, breakpoints=brk)
+        val, _ = integrate_simpson(buchstab, 1.0, u - 1.0, 1e-10, breakpoints=brk)
         worst = max(worst, abs(u * buchstab(u) - 1.0 - val))
     return worst

@@ -1,0 +1,46 @@
+"""The names that the benchmark in perfbench/ rebinds and calls still exist.
+
+perfbench/tracing.py wraps library functions under the names their callers
+look them up by; a renamed or deleted function would break the benchmark
+rather than the library's own tests, so this guards the hooks from here.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import cyclewindow
+from cyclewindow import limit_integrals
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_public_names_resolve():
+    for module in (cyclewindow, limit_integrals):
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)
+
+
+def test_probe_ops_record_a_span_each():
+    tracing, workloads = _load("tracing"), _load("workloads")
+    before = limit_integrals.p_limit
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        ops = workloads.probe_ops(workloads.DEFAULT_SEED)
+        for op in ops:
+            op.call()
+    assert limit_integrals.p_limit is before
+    names = {span["name"] for span in tracer.spans}
+    for op in ops:
+        assert any(name.endswith("." + op.fn) for name in names), (op.fn, names)
+    assert "quasi_poisson.pmf_from_falling_moments" in names
+    assert all(span["end"] is not None for span in tracer.spans)

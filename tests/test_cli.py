@@ -73,6 +73,14 @@ class TestSubcommands:
         pmf = json.loads(out)["results"]["pmf"]
         assert pmf[0] == pytest.approx(0.749730273494709, abs=1e-12)
 
+    def test_qp_past_support_170(self, capsys):
+        rc, out, err = run_capture(capsys, "qp", "--r", "200", "--lambda", "0.5",
+                                   "--json")
+        assert rc == 0, err
+        pmf = json.loads(out)["results"]["pmf"]
+        assert len(pmf) == 201
+        assert pmf[1] == pytest.approx(0.5 * math.exp(-0.5), rel=1e-14)
+
     def test_exact_pmf_rational(self, capsys):
         rc, out, _ = run_capture(capsys, "exact-pmf", "--n", "4", "--gamma",
                                  "1/2", "--delta", "1", "--exact-rational",
@@ -218,6 +226,27 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in err and "n = 1000000" in err
         assert time.perf_counter() - t0 < 1.0
+
+    def test_oversized_limit_pmf_exits_2(self, capsys):
+        t0 = time.perf_counter()
+        rc, _, err = run_capture(capsys, "limit-pmf", "--gamma", "1/5000",
+                                 "--delta", "1")
+        assert rc == 2
+        assert "error:" in err and "ladder" in err
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("n,a", [("20000", "10"), ("100000", "1")])
+    def test_oversized_exact_moment_exits_2(self, capsys, n, a):
+        t0 = time.perf_counter()
+        rc, _, err = run_capture(capsys, "exact-moment", "--n", n, "--a", a,
+                                 "--b", n, "--r", "2")
+        assert rc == 2
+        assert "error:" in err and f"n = {n}" in err
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_tol_is_not_an_option(self, capsys):
+        assert run(["ewens-lambda", "--gamma", "1/4", "--delta", "1/3",
+                    "--sigma", "2", "--tol", "1e-9"]) == 2
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(["no-such-command"]) == 2

@@ -211,6 +211,14 @@ class TestExactFallingMoment:
                     else:
                         assert got == 0
 
+    @pytest.mark.parametrize("n,a,b,r", [(20000, 10, 20000, 2), (100000, 1, 100000, 2)])
+    def test_oversized_call_is_refused_at_once(self, n, a, b, r):
+        # both ran past 30 s before the work was estimated up front
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match=f"n = {n}, window \\[{a}, {b}\\] and r = {r}"):
+            exact_falling_moment(n, IntWindow(a, b), r)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_empty_window_moments(self):
         assert exact_falling_moment(5, IntWindow(7, 9), 1) == 0
         assert exact_falling_moment(5, IntWindow(7, 9), 0) == 1

@@ -345,6 +345,24 @@ class TestPLimit:
         got, want = (np.pad(p, (0, size - len(p))) for p in (got, want))
         assert np.abs(got - want).max() <= 1e-7
 
+    def test_support_past_170_matches_extrapolated_dp(self):
+        # the inversion divides by j!, which overflows a float past j = 170
+        g = Fraction(1, 200)
+        t0 = time.perf_counter()
+        got = np.array(p_limit(Interval(g, 1)).as_floats())
+        assert time.perf_counter() - t0 < 2.0
+        want = _richardson_dp(g, 1, 5000)
+        size = max(len(got), len(want))
+        got, want = (np.pad(p, (0, size - len(p))) for p in (got, want))
+        assert np.abs(got - want).max() <= 1e-7
+
+    @pytest.mark.parametrize("g", [Fraction(1, 2000), 1e-6])
+    def test_support_over_the_ladder_cap_is_refused(self, g):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="ladder"):
+            p_limit(Interval(g, 1))
+        assert time.perf_counter() - t0 < 5.0
+
     def test_deep_window_box_moments(self):
         # gamma near 1/20, delta near 1/10: support 20, 18 nested levels.
         # While r * delta <= 1 the slice never binds, so q_r = log(delta/gamma)^r.
@@ -410,12 +428,6 @@ class TestArgmaxP:
             argmax_p(1, 0.5, 0.4)
         with pytest.raises(DomainError):
             argmax_p(4, 0.3, 0.5)  # index beyond support at lo
-        # tol = 0 would bisect forever and nan would skip the search
-        for tol in (0.0, math.nan):
-            t0 = time.perf_counter()
-            with pytest.raises(DomainError):
-                argmax_p(1, 0.34, 0.49, tol=tol)
-            assert time.perf_counter() - t0 < 1.0
 
 
 class TestSmallSimplexRatio:

@@ -1,5 +1,6 @@
 """Adaptive quadrature engine: rule construction, refinement, failure modes."""
 
+import inspect
 import math
 import time
 
@@ -8,8 +9,8 @@ import pytest
 
 from cyclewindow.errors import DomainError, ToleranceNotMet
 from cyclewindow.quadrature import (
-    GK15_GAUSS_WEIGHTS, GK15_NODES, GK15_WEIGHTS, MAX_LIVE_PANELS, RULE_GK15,
-    RULE_SIMPSON, QuadratureConfig, integrate, integrate_many,
+    GK15_GAUSS_WEIGHTS, GK15_NODES, GK15_WEIGHTS, MAX_DEPTH, MAX_LIVE_PANELS,
+    integrate, integrate_many, integrate_simpson,
 )
 
 
@@ -47,25 +48,27 @@ class TestRuleConstruction:
             assert abs(got - want) < 5e-15
 
 
+# A step at x = 1/3 with no breakpoint cannot meet tol 1e-15 by MAX_DEPTH.
+_STEP = lambda x: 1.0 if x > 1 / 3 else 0.0
+
+
 class TestConfig:
     def test_defaults(self):
-        cfg = QuadratureConfig()
-        assert cfg.abs_tol == 1e-11
-        assert cfg.rel_tol == 0.0
-        assert cfg.max_depth == 40
-        assert cfg.panel_rule == RULE_GK15
+        assert inspect.signature(integrate).parameters["tol"].default == 1e-11
+        assert inspect.signature(integrate_many).parameters["tol"].default == 1e-11
+        assert MAX_DEPTH == 40
 
     @pytest.mark.parametrize("kwargs", [
-        {"abs_tol": 0.0},
-        {"abs_tol": -1e-3},
-        {"rel_tol": -1e-9},
-        {"max_depth": 3},
-        {"max_depth": 61},
-        {"panel_rule": "trapezoid"},
+        {"tol": 0.0},
+        {"tol": -1e-3},
+        {"tol": math.nan},
     ])
     def test_invalid_config_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureConfig(**kwargs)
+        for call in (lambda: integrate(math.exp, 0.0, 1.0, **kwargs),
+                     lambda: integrate_simpson(math.exp, 0.0, 1.0, **kwargs),
+                     lambda: integrate_many(_batch_integrand, [0.0], [1.0], **kwargs)):
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestIntegrate:
@@ -94,43 +97,41 @@ class TestIntegrate:
         assert integrate(math.exp, 2.0, 1.0) == (0.0, 0.0)
 
     def test_simpson_rule(self):
-        cfg = QuadratureConfig(abs_tol=1e-10, panel_rule=RULE_SIMPSON)
-        val, err = integrate(math.exp, 0.0, 1.0, cfg)
+        val, err = integrate_simpson(math.exp, 0.0, 1.0, 1e-10)
         assert abs(val - (math.e - 1.0)) < 1e-10
         assert err < 1e-10
 
-    def test_rel_tol_mode(self):
-        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-9)
-        val, err = integrate(lambda x: 1e6 * math.exp(x), 0.0, 1.0, cfg)
-        assert abs(val - 1e6 * (math.e - 1.0)) < 1e-3
-        assert err <= 1e-9 * abs(val)
+    def test_tol_below_rounding_returns(self):
+        # tol 1e-300 is far below eps*|integral|; the rounding floor accepts
+        val, err = integrate(lambda x: 1e6 * math.exp(x), 0.0, 1.0, 1e-300)
+        want = 1e6 * (math.e - 1.0)
+        assert abs(val - want) <= 1e-13 * want
+        assert err <= 1e-13 * want
 
     def test_tolerance_not_met_carries_diagnostics(self):
-        cfg = QuadratureConfig(abs_tol=1e-15, max_depth=4)
-        f = lambda x: math.sqrt(abs(x - 1 / 3))
         with pytest.raises(ToleranceNotMet) as info:
-            integrate(f, 0.0, 1.0, cfg)
+            integrate(_STEP, 0.0, 1.0, 1e-15)
         exc = info.value
         assert exc.achieved is not None and exc.achieved > exc.requested
         assert exc.value is not None
 
     def test_deep_refinement_succeeds_on_needle(self):
-        val, _ = integrate(lambda x: 1.0 / (1e-6 + (x - 0.5) ** 2), 0.0, 1.0,
-                           QuadratureConfig(abs_tol=1e-9))
+        val, _ = integrate(lambda x: 1.0 / (1e-6 + (x - 0.5) ** 2), 0.0, 1.0, 1e-9)
         want = 2.0 / 1e-3 * math.atan(0.5 / 1e-3)
         assert abs(val - want) < 1e-6
 
-    @pytest.mark.parametrize("rule", [RULE_GK15, RULE_SIMPSON])
+    @pytest.mark.parametrize("rule", [integrate, integrate_simpson],
+                             ids=["gauss-kronrod-15", "adaptive-simpson"])
     def test_nan_integrand_raises(self, rule):
         with pytest.raises(ToleranceNotMet, match="non-finite"):
-            integrate(lambda x: float("nan"), 0.0, 1.0,
-                      QuadratureConfig(panel_rule=rule))
+            rule(lambda x: float("nan"), 0.0, 1.0, 1e-11)
 
-    @pytest.mark.parametrize("rule", [RULE_GK15, RULE_SIMPSON])
+    @pytest.mark.parametrize("rule", [integrate, integrate_simpson],
+                             ids=["gauss-kronrod-15", "adaptive-simpson"])
     def test_infinite_integrand_raises(self, rule):
         f = lambda x: math.inf if x > 0.7 else 1.0
         with pytest.raises(ToleranceNotMet, match="non-finite"):
-            integrate(f, 0.0, 1.0, QuadratureConfig(panel_rule=rule))
+            rule(f, 0.0, 1.0, 1e-11)
 
 
 # Integrand families in vectorized (x, owner) form and their scalar twins.
@@ -156,17 +157,13 @@ class TestIntegrateMany:
     HIS = [1.0, 1.0, 1.0, 2.0, 1.0, 0.9, 0.25, 5.0]
     BRKS = [(), (1 / 3, 7.0), (0.5,), (0.0, 1.0, 0.0), (), (1 / 3,), (0.3,), (3.0, 4.0)]
 
-    @pytest.mark.parametrize("cfg", [
-        QuadratureConfig(),
-        QuadratureConfig(abs_tol=1e-300, rel_tol=1e-9),
-        QuadratureConfig(abs_tol=1e-8, max_depth=12),
-    ])
-    def test_equals_per_interval_integrate(self, cfg):
-        vals, errs = integrate_many(_batch_integrand, self.LOS, self.HIS, cfg,
+    @pytest.mark.parametrize("tol", [1e-11, 1e-8])
+    def test_equals_per_interval_integrate(self, tol):
+        vals, errs = integrate_many(_batch_integrand, self.LOS, self.HIS, tol,
                                     self.BRKS)
         assert vals.shape == errs.shape == (len(self.LOS),)
         for i, (lo, hi, brks) in enumerate(zip(self.LOS, self.HIS, self.BRKS)):
-            want, want_err = integrate(_scalar_integrand(i), lo, hi, cfg, brks)
+            want, want_err = integrate(_scalar_integrand(i), lo, hi, tol, brks)
             assert abs(vals[i] - want) <= 1e-15 * max(1.0, abs(want))
             assert abs(errs[i] - want_err) <= 1e-15 * max(1.0, abs(want))
 
@@ -180,21 +177,14 @@ class TestIntegrateMany:
         vals, errs = integrate_many(_batch_integrand, [], [])
         assert vals.shape == errs.shape == (0,)
 
-    def test_simpson_rule_is_refused(self):
-        cfg = QuadratureConfig(abs_tol=1e-10, panel_rule=RULE_SIMPSON)
-        with pytest.raises(DomainError, match="integrate_many"):
-            integrate_many(_batch_integrand, [0.0, 0.2], [1.0, 0.9], cfg,
-                           [(), (1 / 3,)])
-
     def test_failure_names_the_failing_integral(self):
-        # integral 1 (a sqrt kink with no breakpoint) cannot meet 1e-15 at
-        # depth 4; the others can, and do not change its diagnostics
-        cfg = QuadratureConfig(abs_tol=1e-15, max_depth=4)
+        # integral 1 (the step at 1/3) cannot meet 1e-15 by MAX_DEPTH; the
+        # others can, and do not change its diagnostics
+        step = lambda x, own: np.where(own[:, None] == 1, x > 1 / 3, np.exp(x))
         with pytest.raises(ToleranceNotMet) as alone:
-            integrate(_scalar_integrand(1), 0.0, 1.0, cfg)
+            integrate(_STEP, 0.0, 1.0, 1e-15)
         with pytest.raises(ToleranceNotMet, match="integral 1:") as batch:
-            integrate_many(_batch_integrand, [0.0, 0.0, 0.5], [1.0, 1.0, 1.0],
-                           QuadratureConfig(abs_tol=1e-15, max_depth=4))
+            integrate_many(step, [0.0, 0.0, 0.5], [1.0, 1.0, 1.0], 1e-15)
         assert batch.value.value == alone.value.value
         assert batch.value.achieved == alone.value.achieved
         assert batch.value.requested == alone.value.requested
@@ -202,11 +192,10 @@ class TestIntegrateMany:
     def test_each_integral_meets_its_own_tolerance(self):
         # one kink integral spends 71% of its 1e-9 budget; three in a batch
         # pass, because each is held to its own tolerance, not their sum
-        cfg = QuadratureConfig(abs_tol=1e-9)
-        _, err = integrate(_scalar_integrand(1), 0.0, 1.0, cfg)
+        _, err = integrate(_scalar_integrand(1), 0.0, 1.0, 1e-9)
         assert 0.5e-9 < err <= 1e-9
         his = [1.0 if i % 4 == 1 else 0.0 for i in range(10)]  # 1, 5, 9
-        _, errs = integrate_many(_batch_integrand, [0.0] * 10, his, cfg)
+        _, errs = integrate_many(_batch_integrand, [0.0] * 10, his, 1e-9)
         assert list(errs[[1, 5, 9]]) == [err] * 3
         assert errs.sum() > 1e-9
 
@@ -222,8 +211,9 @@ class TestIntegrateMany:
             integrate_many(lambda x, own: rng.random(x.shape), [0.0], [1.0])
         assert time.perf_counter() - started < 1.0
 
-    def test_widest_known_refinement_fits_under_the_cap(self):
-        # refined into rounding noise down to max_depth: 38,018 live panels
+    def test_needle_stops_at_the_rounding_floor(self):
+        # without the floor this refined into rounding noise down to
+        # MAX_DEPTH, holding 38,018 live panels
         widest = 0
 
         def needle(x, own):
@@ -233,4 +223,4 @@ class TestIntegrateMany:
 
         vals, _ = integrate_many(needle, [0.0], [1.0])
         assert abs(vals[0] - 2.0 / 1e-3 * math.atan(0.5 / 1e-3)) < 1e-9
-        assert 10_000 < widest <= MAX_LIVE_PANELS
+        assert widest <= 48

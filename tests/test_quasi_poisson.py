@@ -75,7 +75,8 @@ class TestQpPmf:
         assert sum(pmf.probs) == 1
         assert falling_moment(pmf, 2) == Fraction(1, 16)
 
-    @pytest.mark.parametrize("r,lam", [(0, 0.5), (-1, 0.5), (3, -0.01), (3, 1.01)])
+    @pytest.mark.parametrize("r,lam", [(0, 0.5), (-1, 0.5), (3, -0.01), (3, 1.01),
+                                       (100_000, 0.5)])
     def test_domain(self, r, lam):
         with pytest.raises(DomainError):
             qp_pmf(r, lam)
@@ -152,6 +153,20 @@ class TestInversion:
         with pytest.raises(DomainError):
             MomentVector(())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_moment_vector_refuses_non_finite(self, bad):
+        with pytest.raises(DomainError, match="not finite"):
+            MomentVector((1.0, bad))
+
+    def test_support_past_170_inverts_exactly(self):
+        # j! overflows a float past 170; the float moments 0.5^j are exact
+        # binary rationals, so the float and Fraction inversions agree
+        got = qp_pmf(200, 0.5).as_floats()
+        want = qp_pmf(200, Fraction(1, 2)).as_floats()
+        assert len(got) == 201
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-16
+        assert got[3] == pytest.approx(math.exp(-0.5) * 0.5**3 / 6, rel=1e-14)
+
 
 class TestBinomialMatrices:
     def test_n0(self):
@@ -193,6 +208,12 @@ class TestPmfType:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             Pmf(())
+
+    @pytest.mark.parametrize("probs", [(math.nan, math.nan), (1.0, math.nan),
+                                       (math.inf, 0.0)])
+    def test_non_finite_rejected(self, probs):
+        with pytest.raises(DomainError, match="not finite"):
+            Pmf(probs)
 
     def test_total_variation_pads_support(self):
         a = Pmf((1.0,))
