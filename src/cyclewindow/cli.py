@@ -174,7 +174,7 @@ def _sample(o):
     w = normalized_window(o["n"], o["gamma"], o["delta"])
     return {"window": [w.a, w.b], "counts": list(est.counts),
             "pmf_hat": list(est.pmf_hat), "stderr": list(est.stderr),
-            "mean": est.mean, "mean_stderr": est.mean_stderr}
+            "mean": est.mean, "mean_stderr": est.mean_stderr, "variates": est.variates}
 
 
 def _gamma_star(o):

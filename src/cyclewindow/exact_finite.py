@@ -20,7 +20,7 @@ from .quasi_poisson import Pmf
 
 RATIONAL_LIMIT = 200
 DP_TABLE_MAX_BYTES = 1 << 28  # exact_pmf refuses larger tables
-MOMENT_MAX_WORK = 2 * 10**9  # bit operations; exact_falling_moment refuses more
+MOMENT_MAX_WORK = 4 * 10**9  # word operations; exact_falling_moment refuses more
 
 
 @dataclass(frozen=True)
@@ -208,9 +208,7 @@ def exact_falling_moment(n, w: IntWindow, r):
     s <= n, and the moment is the sum of f_r, taken as the sum of f_{r-1}(t)
     times the window's harmonic sum up to n - t.  The f_j are carried as
     integers over the common denominator d**j, d = lcm of the window lengths.
-    d has under 1.5*b bits, so the work is about width * 1.5b bit operations
-    for d and (n+1) * width * (j+1) * 1.5b for pass j; a call over
-    MOMENT_MAX_WORK is refused with DomainError before it starts.
+    A call over MOMENT_MAX_WORK is refused with DomainError before it starts.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -218,17 +216,28 @@ def exact_falling_moment(n, w: IntWindow, r):
         raise DomainError(f"need r >= 0, got {r}")
     if r == 0:
         return Fraction(1)
-    width = max(min(w.b, n) - w.a + 1, 0)
-    work = width * 1.5 * min(w.b, n) * (1 + r * (r - 1) // 2 * (n + 1))
+    # work in operations on 30-bit words of the D = 1.5b/30-word integers:
+    # 16 a word for d, inv and harmonic, 128 a loop step, (r-1)D^2 a final
+    # term, and in pass j 128 + jD (the running sum) per pair (s, t) visited
+    # and (j-1)D^2 per product with a nonzero f_{j-1}(t); f_0 is [1, 0, ...].
+    # Past the cap on the steps alone the passes go uncounted: r*n can be huge.
+    a, b = w.a, min(w.b, n)
+    width, words = max(b - a + 1, 0), b / 20
+    work = 16 * (n + width) * words + (128 * r + (r - 1) * words**2) * (n + 1)
+    for j in range(1, min(r, n // a + 1) if work <= MOMENT_MAX_WORK else 1):
+        m = n + 1 - j * a  # at s = j*a - 1 + u the pass visits min(u, width) pairs
+        pairs = min(m, width) * (2 * m - min(m, width) + 1) // 2
+        nonzero = min(pairs, (min((j - 1) * b, n) - (j - 1) * a + 1) * width)
+        work += pairs * (128 + j * words) + nonzero * (j - 1) * words**2
     if work > MOMENT_MAX_WORK:
         raise DomainError(f"exact_falling_moment for n = {n}, window [{w.a}, {w.b}] and "
-                          f"r = {r} needs about {work:.1e} bit operations, over the cap")
-    d = math.lcm(*range(w.a, min(w.b, n) + 1))
-    inv = [d // k if w.a <= k <= w.b else 0 for k in range(n + 1)]
+                          f"r = {r} needs about {work:.1e} word operations, over the cap")
+    d = math.lcm(*range(a, b + 1))
+    inv = [d // k if a <= k <= b else 0 for k in range(n + 1)]
     f = [1] + [0] * n
     for j in range(r - 1):
         # f_j vanishes below j*a
-        f = [sum(f[t] * inv[s - t] for t in range(max(j * w.a, s - w.b), s - w.a + 1))
+        f = [sum(f[t] * inv[s - t] for t in range(max(j * a, s - b), s - a + 1))
              for s in range(n + 1)]
     harmonic = list(itertools.accumulate(inv))
     return Fraction(sum(f[t] * harmonic[n - t] for t in range(n + 1)), d**r)

@@ -6,9 +6,10 @@ draws follow the constructions stated in the interface contract
 estimator uses the Feller coupling of the Ewens cycle counts (Arratia,
 Barbour and Tavare, Logarithmic Combinatorial Structures, 2003, sec. 1.1):
 independent Bernoulli cycle openings whose spacings are the cycle lengths.
-It jumps from one opening to the next by inverting the cumulative hazard, so
-a draw costs one exponential per cycle, and it is validated against the
-single-draw constructions and exact laws in the tests.
+It walks down from the closing opening at n+1 by inverting the cumulative
+hazard and stops at the first opening below max(a, 2), a being the window's
+shortest length, so a draw costs one exponential per opening it reaches; the
+tests check it against the single-draw constructions and exact laws.
 
 Randomness: Philox counter-based generators.  estimate_pmf(seed) draws every
 sample from one generator, Philox(SeedSequence(seed, spawn_key=(0,))), so
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .exact_finite import normalized_window
+from .exact_finite import DP_TABLE_MAX_BYTES, normalized_window
 from .limit_integrals import Interval
 
 _ROW_CAP = 65_536  # draws advanced together; bounds the per-chunk arrays
@@ -46,7 +47,8 @@ class EstimateResult:
     """Tally of window cycle counts over repeated draws.
 
     counts[i] = number of draws with exactly i window cycles; pmf_hat and the
-    binomial stderr sqrt(p(1-p)/samples) are per-entry.
+    binomial stderr sqrt(p(1-p)/samples) are per-entry; variates is the
+    number of exponentials the draws took.
     """
 
     counts: tuple
@@ -54,6 +56,7 @@ class EstimateResult:
     pmf_hat: tuple
     stderr: tuple
     seed: int
+    variates: int = 0
 
     def __post_init__(self):
         if sum(self.counts) != self.samples:
@@ -136,28 +139,29 @@ def sample_cycle_lengths(n, sigma, gen):
 
 
 def _feller_tally(gen, draws, hazard, a, b, counts):
-    # Feller coupling: position 1 opens a cycle and position i >= 2 opens one
-    # with probability p_i = theta/(theta+i-1); the gaps between openings,
-    # with a closing one at n+1, are the cycle lengths.  hazard[m-1] is
-    # -sum_{i=2}^{m} log(1-p_i), so the next opening after j is the first m
-    # whose hazard exceeds hazard[j-1] + Exp(1).
-    n = len(hazard)
+    # Feller coupling: position 1 opens a cycle, position i >= 2 opens one
+    # with probability p_i = theta/(theta+i-1), and the gaps between openings,
+    # with a closing one at n+1, are the cycle lengths.  hazard[k] = H(k+1) =
+    # -sum_{i=2}^{k+1} log(1-p_i); walking down, the next opening below top is
+    # the largest i with H(i-1) < H(top-1) - Exp(1).  Below stop = max(a, 2)
+    # every gap left is shorter than a.  Returns the exponentials drawn.
+    n, stop, variates = len(hazard), max(a, 2), 0
     for start in range(0, draws, _ROW_CAP):
-        rows = min(_ROW_CAP, draws - start)
-        pos = np.ones(rows, dtype=np.int64)
-        hits = np.zeros(rows, dtype=np.int64)
-        total = np.zeros(rows, dtype=np.int64)
-        while len(pos):
-            jump = hazard[pos - 1] + gen.standard_exponential(len(pos))
-            nxt = np.searchsorted(hazard, jump, side="right") + 1
-            length = np.minimum(nxt, n + 1) - pos
+        top = np.full(min(_ROW_CAP, draws - start), n + 1, dtype=np.int64)
+        hits, total = np.zeros_like(top), np.zeros_like(top)
+        while len(top):
+            variates += len(top)
+            drop = hazard[top - 2] - gen.standard_exponential(len(top))
+            nxt = np.searchsorted(hazard, drop, side="left") + 1
+            length = top - nxt
             hits += (length >= a) & (length <= b)
             total += length
-            done = nxt > n
-            assert np.all(total[done] == n)
+            done = nxt < stop  # the walked gaps and the prefix [1, nxt-1] make n
+            assert np.all(total[done] + nxt[done] - 1 == n)
             counts += np.bincount(hits[done], minlength=len(counts))
             live = ~done
-            pos, hits, total = nxt[live], hits[live], total[live]
+            top, hits, total = nxt[live], hits[live], total[live]
+    return variates
 
 
 def estimate_pmf(n, iv: Interval, sigma, samples, seed):
@@ -173,19 +177,16 @@ def estimate_pmf(n, iv: Interval, sigma, samples, seed):
         raise DomainError(f"need samples >= 1, got {samples}")
     if seed < 0:
         raise DomainError(f"need seed >= 0, got {seed}")
+    if 8 * n > DP_TABLE_MAX_BYTES:  # the float hazard table, refused before it is built
+        raise DomainError(f"estimate_pmf for n = {n} needs {8 * n:.1e} bytes, over the cap")
     w = normalized_window(n, iv.gamma, iv.delta)
     # log1p(theta/(i-1)) = -log(1-p_i) stays finite where p_i rounds to 1
     hazard = np.concatenate(([0.0], np.cumsum(np.log1p(float(sigma) / np.arange(1, n)))))
     counts = np.zeros(n // w.a + 1, dtype=np.int64)
     # spawn_key (0,) is the stream of SeedSequence(seed).spawn(1)[0]
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
-    _feller_tally(gen, samples, hazard, w.a, w.b, counts)
+    variates = _feller_tally(gen, samples, hazard, w.a, w.b, counts)
     pmf_hat = counts / samples
     stderr = np.sqrt(pmf_hat * (1.0 - pmf_hat) / samples)
-    return EstimateResult(
-        counts=tuple(int(c) for c in counts),
-        samples=samples,
-        pmf_hat=tuple(float(x) for x in pmf_hat),
-        stderr=tuple(float(x) for x in stderr),
-        seed=seed,
-    )
+    return EstimateResult(tuple(counts.tolist()), samples, tuple(pmf_hat.tolist()),
+                          tuple(stderr.tolist()), seed, variates)

@@ -9,6 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import cyclewindow
 from cyclewindow import limit_integrals
 
@@ -44,3 +46,14 @@ def test_probe_ops_record_a_span_each():
         assert any(name.endswith("." + op.fn) for name in names), (op.fn, names)
     assert "quasi_poisson.pmf_from_falling_moments" in names
     assert all(span["end"] is not None for span in tracer.spans)
+
+
+@pytest.mark.parametrize("seed", [20260815, 7, 11])
+def test_finite_n_monte_carlo_checks_pass(seed):
+    # the benchmark counts a failed check as a failed operation; a change to
+    # the sampler's stream that flips one of its 4-stderr checks shows here
+    workloads = _load("workloads")
+    ops = [op for op in workloads.finite_n(seed).ops if op.fn == "estimate_pmf"]
+    assert len(ops) == 2
+    for op in ops:
+        assert op.check(op.call()) is None, (seed, op.name)

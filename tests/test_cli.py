@@ -126,6 +126,7 @@ class TestSubcommands:
         assert rep1["seed"] == 31
         assert rep1["results"]["counts"] == rep2["results"]["counts"]
         assert rep1["results"]["window"] == [13, 25]
+        assert rep1["results"]["variates"] == rep2["results"]["variates"] > 2000
 
     def test_buchstab(self, capsys):
         rc, out, _ = run_capture(capsys, "buchstab", "--u", "3", "--json")
@@ -233,6 +234,15 @@ class TestExitCodes:
                                  "--delta", "1")
         assert rc == 2
         assert "error:" in err and "ladder" in err
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_oversized_sample_exits_2(self, capsys):
+        t0 = time.perf_counter()
+        rc, _, err = run_capture(capsys, "sample", "--n", "1000000000", "--gamma",
+                                 "1/4", "--delta", "1/2", "--draws", "10",
+                                 "--seed", "1")
+        assert rc == 2
+        assert "error:" in err and "n = 1000000000" in err
         assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("n,a", [("20000", "10"), ("100000", "1")])

@@ -219,6 +219,14 @@ class TestExactFallingMoment:
             exact_falling_moment(n, IntWindow(a, b), r)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_sparse_first_pass_is_allowed(self):
+        # only f_0(0) is nonzero in the first pass, so this runs in well
+        # under a second though it visits half a million (s, t) pairs
+        w = IntWindow(1000, 2000)
+        got = exact_falling_moment(2000, w, 2)
+        assert got == falling_moment(exact_pmf(2000, w, rational=True), 2)
+        assert got == Fraction(1, 10**6)
+
     def test_empty_window_moments(self):
         assert exact_falling_moment(5, IntWindow(7, 9), 1) == 0
         assert exact_falling_moment(5, IntWindow(7, 9), 0) == 1

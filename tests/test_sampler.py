@@ -1,13 +1,14 @@
 """Monte Carlo sampler: exactness of the cycle-length law, reproducibility."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cyclewindow.errors import DomainError
-from cyclewindow.exact_finite import IntWindow, exact_pmf
+from cyclewindow.exact_finite import IntWindow, exact_pmf, normalized_window
 from cyclewindow.limit_integrals import Interval
 from cyclewindow.sampler import (
     CycleLengths, EstimateResult, estimate_pmf, sample_cycle_lengths,
@@ -173,11 +174,50 @@ class TestEstimatePmf:
         res = estimate_pmf(n, Interval(0.25, 1 / 3), 2.0, 60_000, seed=5)
         assert abs(res.mean - want) < 4 * res.mean_stderr
 
+    @pytest.mark.parametrize("sigma", [0.5, 3.0])
+    @pytest.mark.parametrize("n,gamma,delta", [
+        (12, Fraction(1, 20), Fraction(1, 4)),  # a = 1: the walk runs down to 1
+        (10, Fraction(1, 2), Fraction(1)),      # b = n
+        (7, Fraction(2, 7), Fraction(3, 7)),
+        (1, Fraction(1, 2), Fraction(1)),       # n = 1
+        (10, Fraction(17, 20), Fraction(89, 100)),  # empty: sentinel [n+1, n+1]
+    ])
+    def test_walk_down_matches_exact_law(self, n, gamma, delta, sigma):
+        w = normalized_window(n, gamma, delta)
+        want = ewens_window_law(n, w.a, w.b, sigma)
+        res = estimate_pmf(n, Interval(gamma, delta), sigma, 60_000, seed=23)
+        assert len(res.pmf_hat) == n // w.a + 1
+        for k, p in enumerate(res.pmf_hat):
+            q = want[k] if k < len(want) else 0.0
+            se = math.sqrt(q * (1 - q) / res.samples)
+            assert abs(p - q) <= 4 * se + 1e-9, (k, p, q)
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_variates_stop_below_the_window(self, sigma):
+        # A draw takes one exponential per opening at i in [max(a, 2), n],
+        # independent Bernoulli(p_i) with p_i = sigma/(sigma+i-1), plus the
+        # one that lands below: far fewer than the sigma*ln n of a full walk.
+        n, samples = 2000, 50_000
+        res = estimate_pmf(n, Interval(Fraction(1, 4), Fraction(1, 3)), sigma,
+                           samples, seed=41)
+        p = [sigma / (sigma + i - 1) for i in range(500, n + 1)]
+        mean = 1 + math.fsum(p)
+        se = math.sqrt(math.fsum(q * (1 - q) for q in p) / samples)
+        assert abs(res.variates / samples - mean) <= 4 * se
+        assert mean < 0.5 * sigma * math.log(n)
+
+    def test_large_n_is_refused_before_allocating(self):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="n = 1000000000"):
+            estimate_pmf(10**9, Interval(0.25, 0.5), 1.0, 100, seed=0)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_bit_identical_reruns(self):
         a = estimate_pmf(200, Interval(0.25, 0.5), 1.0, 5_000, seed=4242)
         b = estimate_pmf(200, Interval(0.25, 0.5), 1.0, 5_000, seed=4242)
         assert a.counts == b.counts
         assert a.pmf_hat == b.pmf_hat
+        assert a.variates == b.variates
 
     def test_point_mass_window(self):
         res = estimate_pmf(1, Interval(0.5, 1.0), 1.0, 100, seed=1)
