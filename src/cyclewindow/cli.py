@@ -112,7 +112,10 @@ def _ratio(text):
     """Parse '1/3' exactly as a Fraction, or a decimal as float."""
     s = text.strip()
     if "/" in s:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     return float(s)
 
 

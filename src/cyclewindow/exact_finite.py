@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
+from .limit_integrals import Interval
 from .quasi_poisson import Pmf
 
 RATIONAL_LIMIT = 200
@@ -69,10 +70,12 @@ def normalized_window(n, gamma, delta):
 
     Products are formed in exact rational arithmetic.  An empty window
     (ceil above floor) returns the sentinel [n+1, n+1], which no cycle can
-    hit, so downstream code uniformly produces a point mass at 0.
+    hit, so downstream code uniformly produces a point mass at 0.  The
+    endpoints must pass Interval: finite, with 0 < gamma < delta <= 1.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
+    Interval(gamma, delta)
     a = max(_snap_int(Fraction(gamma) * n, math.ceil), 1)
     b = _snap_int(Fraction(delta) * n, math.floor)
     if a > b:

@@ -3,7 +3,9 @@
 The quasi-Poisson family with parameters (r, lam) is the unique distribution
 on {0, ..., r} whose k-th falling moment is lam^k for k = 0..r.  It is a
 genuine probability distribution exactly when 0 <= lam <= 1; outside that
-range some entry goes negative and construction is refused.
+range some entry goes negative and construction is refused.  Every moment
+vector, float or exact, is inverted in exact integer arithmetic; float
+moments get each probability rounded once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from numbers import Rational
 from .errors import DomainError, InvalidMomentsError
 
 _CLAMP_FLOOR = -1e-9
-_FLOAT_FACTORIAL_MAX = 170  # 171! exceeds the largest float
 INVERSION_MAX_ORDER = 2000  # the O(r^2) moment inversion takes about 1 s there
 
 
@@ -89,8 +90,8 @@ def qp_pmf(r, lam):
 
     p_i = sum_{j=i}^{r} binom(j, i) (-1)^{j-i} lam^j / j!
     """
-    if r < 1:
-        raise DomainError(f"need r >= 1, got {r}")
+    if not 1 <= r <= INVERSION_MAX_ORDER:
+        raise DomainError(f"need 1 <= r <= {INVERSION_MAX_ORDER}, got {r}")
     if not 0 <= lam <= 1:
         raise DomainError(f"quasi-Poisson exists only for lam in [0, 1], got {lam}")
     return pmf_from_falling_moments(MomentVector(tuple(lam**j for j in range(r + 1))))
@@ -110,16 +111,24 @@ def falling_moment(pmf: Pmf, k):
     return math.fsum(terms)
 
 
-def _invert_exactly(moments, exact):
-    """The p_i of pmf_from_falling_moments in integer arithmetic.
+def pmf_from_falling_moments(mv: MomentVector):
+    """Invert falling moments (m_0..m_r) of a distribution on {0..r} to its pmf.
 
-    Over the common denominator r! * L, L the lcm of the moments'
+    p_i = sum_{j=i}^{r} binom(j, i) (-1)^{j-i} m_j / j!, in integer arithmetic:
+    over the common denominator r! * L, L the lcm of the moments' exact
     denominators, every a_j = m_j / j! is an integer, and the p_i are the
-    coefficients of sum_j a_j (x - 1)^j: a Taylor shift by subtractions.
-    Returns Fractions for exact moments, else floats each rounded once.
+    coefficients of sum_j a_j (x - 1)^j, a Taylor shift by subtractions.
+    Exact moments give Fractions; float moments are read exactly and each p_i
+    is rounded once.  Entries in [-1e-9, 0) are treated as roundoff and
+    clamped to 0; anything below that is a genuine inconsistency and raises.
+    The result is renormalized (a no-op for exact input).  Raises DomainError
+    past r = INVERSION_MAX_ORDER.
     """
-    r = len(moments) - 1
-    ratios = [m.as_integer_ratio() for m in moments]
+    r = len(mv) - 1
+    if r > INVERSION_MAX_ORDER:
+        raise DomainError(f"moment inversion stops at order {INVERSION_MAX_ORDER}, got {r}")
+    exact = all(_is_exact(m) for m in mv.moments)
+    ratios = [m.as_integer_ratio() for m in mv.moments]
     lcm, fact = math.lcm(*(den for _, den in ratios)), math.factorial(r)
     a = [num * (lcm // den) * (fact // math.factorial(j)) for j, (num, den) in enumerate(ratios)]
     for k in range(r):
@@ -127,45 +136,17 @@ def _invert_exactly(moments, exact):
             a[j] -= a[j + 1]
     denom = fact * lcm
     try:
-        return [Fraction(x, denom) if exact else x / denom for x in a]
+        bad = [i for i, x in enumerate(a) if x < 0 and x / denom < _CLAMP_FLOOR]
     except OverflowError:
         raise InvalidMomentsError(f"moments are not realizable on {{0..{r}}}") from None
-
-
-def pmf_from_falling_moments(mv: MomentVector):
-    """Invert falling moments (m_0..m_r) of a distribution on {0..r} to its pmf.
-
-    p_i = sum_{j=i}^{r} binom(j, i) (-1)^{j-i} m_j / j!, exactly for exact
-    moments and for float ones past r = 170, where j! overflows a float.
-    Entries in [-1e-9, 0) are treated as roundoff and clamped to 0; anything
-    below that is a genuine inconsistency and raises.  The result is
-    renormalized (a no-op for exact input).  Raises DomainError past
-    r = INVERSION_MAX_ORDER.
-    """
-    r = len(mv) - 1
-    if r > INVERSION_MAX_ORDER:
-        raise DomainError(f"moment inversion stops at order {INVERSION_MAX_ORDER}, got {r}")
-    exact = all(_is_exact(m) for m in mv.moments)
-    if exact or r > _FLOAT_FACTORIAL_MAX:
-        raw = _invert_exactly(mv.moments, exact)
-    else:
-        raw = []
-        for i in range(r + 1):
-            acc = 0.0
-            for j in range(r, i - 1, -1):
-                term = math.comb(j, i) * mv[j] / math.factorial(j)
-                acc += term if (j - i) % 2 == 0 else -term
-            raw.append(acc)
-    bad = [i for i, p in enumerate(raw) if p < _CLAMP_FLOOR]
     if bad:
         raise InvalidMomentsError(
-            f"moment vector is not realizable on {{0..{r}}}: p_{bad[0]} = {raw[bad[0]]}")
-    probs = [p if p >= 0 else type(p)(0) for p in raw]
-    total = sum(probs) if exact else math.fsum(probs)
-    if total <= 0:
+            f"moment vector is not realizable on {{0..{r}}}: p_{bad[0]} = {a[bad[0]] / denom}")
+    a = [max(x, 0) for x in a]
+    total = sum(a)
+    if total == 0:
         raise InvalidMomentsError("moment inversion produced an all-zero pmf")
-    probs = [p / total for p in probs]
-    return Pmf(tuple(probs))
+    return Pmf(tuple(Fraction(x, total) if exact else x / total for x in a))
 
 
 def binomial_matrices(n):

@@ -282,6 +282,27 @@ class TestExitCodes:
         assert "error:" in err
         assert time.perf_counter() - t0 < 1.0
 
+    def test_zero_denominator_exits_2(self, capsys):
+        rc, _, err = run_capture(capsys, "limit-pmf", "--gamma", "1/0", "--delta", "1")
+        assert rc == 2
+        assert "--gamma" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("gamma,delta", [("nan", "1"), ("inf", "1"), ("-1", "1/2"),
+                                             ("1/2", "1/2"), ("0.2", "2")])
+    def test_window_outside_interval_rule_exits_2(self, capsys, gamma, delta):
+        for cmd in (("exact-pmf",), ("sample", "--draws", "10", "--seed", "1")):
+            rc, _, err = run_capture(capsys, *cmd, "--n", "10", "--gamma", gamma,
+                                     "--delta", delta)
+            assert rc == 2
+            assert "error:" in err
+
+    def test_oversized_qp_exits_2(self, capsys):
+        t0 = time.perf_counter()
+        rc, _, err = run_capture(capsys, "qp", "--r", "1000000000", "--lambda", "0.5")
+        assert rc == 2
+        assert "error:" in err and "1000000000" in err
+        assert time.perf_counter() - t0 < 1.0
+
     def test_csv_exact_pmf_header(self, capsys):
         rc, out, _ = run_capture(capsys, "exact-pmf", "--n", "4", "--gamma",
                                  "0.5", "--delta", "1", "--csv")

@@ -257,3 +257,10 @@ class TestNormalizedWindow:
     def test_domain(self):
         with pytest.raises(DomainError):
             normalized_window(0, 0.25, 0.5)
+
+    @pytest.mark.parametrize("gamma,delta", [(math.nan, 1), (0.25, math.nan), (math.inf, 1),
+                                             (0.25, math.inf), (-1, Fraction(1, 2)),
+                                             (0, 1), (0.5, 0.5), (0.5, 0.25), (0.25, 1.5)])
+    def test_refuses_what_interval_refuses(self, gamma, delta):
+        with pytest.raises(DomainError):
+            normalized_window(10, gamma, delta)

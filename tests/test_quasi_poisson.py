@@ -1,6 +1,7 @@
 """Quasi-Poisson family, falling moments, and moment inversion."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclewindow.errors import DomainError, InvalidMomentsError
+from cyclewindow.limit_integrals import _sliced_moments
 from cyclewindow.quasi_poisson import (
     MomentVector, Pmf, binomial_matrices, falling_moment,
     pmf_from_falling_moments, qp_pmf,
@@ -80,6 +82,12 @@ class TestQpPmf:
     def test_domain(self, r, lam):
         with pytest.raises(DomainError):
             qp_pmf(r, lam)
+
+    def test_large_r_is_refused_before_building_moments(self):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError):
+            qp_pmf(4_000_000, 0.5)
+        assert time.perf_counter() - t0 < 0.05
 
 
 class TestFallingMoment:
@@ -166,6 +174,19 @@ class TestInversion:
         assert len(got) == 201
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-16
         assert got[3] == pytest.approx(math.exp(-0.5) * 0.5**3 / 6, rel=1e-14)
+
+    @pytest.mark.parametrize("gamma,delta,support", [
+        (0.3, 1.0, 3), (1 / 20.3, 1 / 10.4, 20), (1 / 100, 1.0, 100), (1 / 150, 1.0, 150)],
+        ids=["support3", "support20", "support100", "support150"])
+    def test_float_inversion_is_the_exact_inversion_rounded(self, gamma, delta, support):
+        # the float moments p_limit inverts, against the same values read as
+        # Fractions: clamped and renormalized in integers, each entry is
+        # rounded once, so the two agree to the last bit
+        q = [1.0] + [max(v, 0.0) for v, _ in _sliced_moments(support, gamma, delta, 1.0)]
+        got = pmf_from_falling_moments(MomentVector(tuple(q))).as_floats()
+        want = pmf_from_falling_moments(MomentVector(tuple(map(Fraction, q)))).as_floats()
+        assert len(got) == support + 1
+        assert got == want
 
 
 class TestBinomialMatrices:
