@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -22,12 +21,14 @@ from . import __version__
 from .errors import DomainError, InvalidMomentsError, ToleranceNotMet
 from .exact_finite import IntWindow, exact_falling_moment, exact_pmf, normalized_window
 from .limit_integrals import (
-    Interval, argmax_p, ewens_lambda, gamma_star, p_limit, q2_closed_form,
-    sliced_cube_integral,
+    Interval, _ladder, _pmf, argmax_p, ewens_lambda, gamma_star, p_limit, sliced_cube_integral,
+    support_bound,
 )
 from .quasi_poisson import qp_pmf
 from .sampler import estimate_pmf
 from .special_fn import buchstab, dilog
+
+FIGURE_MAX_POINTS = 10**5  # 10**5 rows take about 2 s on 2 vCPU, nearly all in the inversions
 
 
 @dataclass
@@ -122,24 +123,18 @@ def _ratio(text):
 def emit_figure_data(lo, hi, points):
     """Rows (gamma, P0, P1, P2) of the limiting window (gamma, 1] pmf.
 
-    From p_limit below gamma = 1/2; closed forms P0 = 1 + ln(gamma),
-    P1 = -ln(gamma), P2 = 0 at and above it.
+    1/(z_1...z_r) is scale-invariant, so one ladder for (lo, 1] serves every
+    row: the moments of (gamma, 1] are its levels read at c = lo/gamma.
     """
     if not (1 / 3 - 1e-3 <= lo < hi <= 1.0):
         raise DomainError(f"need 1/3 <= lo < hi <= 1, got ({lo}, {hi})")
-    if points < 2:
-        raise DomainError(f"need at least 2 points, got {points}")
-    rows = []
-    for j in range(points):
-        g = lo + (hi - lo) * j / (points - 1)
-        if g >= 0.5 - 1e-12:
-            lg = math.log(g)
-            rows.append([g, 1.0 + lg, -lg, 0.0])
-        else:
-            p = p_limit(Interval(g, 1.0)).as_floats()
-            p = p + (0.0,) * (3 - len(p))
-            rows.append([g, p[0], p[1], p[2]])
-    return rows
+    if not 2 <= points <= FIGURE_MAX_POINTS:
+        raise DomainError(f"need 2 <= points <= {FIGURE_MAX_POINTS}, got {points}")
+    gammas = [lo + (hi - lo) * j / (points - 1) for j in range(points)]
+    levels, _ = _ladder(support_bound(lo), lo, 1.0, 1.0)
+    cols = [level([lo / g for g in gammas]).tolist() for level in levels]
+    pmfs = [_pmf([col[j] for col in cols]).as_floats() for j in range(points)]
+    return [[g, *(p + (0.0,) * 2)[:3]] for g, p in zip(gammas, pmfs)]
 
 
 # Compute functions take the parsed options (keyed by argparse dest) and

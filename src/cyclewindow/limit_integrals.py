@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .quadrature import (
     _BND_EPS, _antiderivative, _dedupe, _interp_pieces, _PiecewiseCheb, integrate,
     integrate_many,
 )
-from .quasi_poisson import MomentVector, pmf_from_falling_moments
+from .quasi_poisson import MomentVector, _is_exact, pmf_from_falling_moments
 from .special_fn import dilog
 
 __all__ = [
@@ -73,23 +72,23 @@ class Interval:
 LADDER_MAX_ORDER = 1000  # (1/1000, 1) peaks at 2e298; (1/1200, 1) overflows float64
 
 
-def _sliced_moments(r, g, d, c):
-    """(value, err) of the c-slice integral for each order 1..r, in order.
+def _ladder(r, g, d, top):
+    """(levels, tails): the tables of orders 1..r up to the slice top, and errors.
 
-    Level m is tabulated on [m*gamma, min(m*delta, c)] and order m is I_m(c).
-    err sums (b-a)(|c_31|+|c_32|) of every integrand piece up to level m,
-    plus 8*m*eps*|value| of rounding.  Raises DomainError, before building
-    any level, when an order above LADDER_MAX_ORDER can be nonzero.
+    Level m reads I_m(c) at any c <= top; tails[m-1] sums (b-a)(|c_31|+|c_32|)
+    of every integrand piece up to level m.  The lists stop at the last order
+    with m*gamma < top - _BND_EPS, as every order above it is 0.  Raises
+    DomainError, before building any level, when an order above
+    LADDER_MAX_ORDER can be nonzero.
     """
-    if min(r, c / g) > LADDER_MAX_ORDER:
+    if min(r, top / g) > LADDER_MAX_ORDER:
         raise DomainError(f"window ({g!r}, {d!r}) needs sliced moments past the "
                           f"ladder's order cap {LADDER_MAX_ORDER}; they can overflow float64")
-    level, tails = (lambda t: np.log(np.clip(t, g, d) / g)), 0.0
+    level, levels, tails, total = (lambda t: np.log(np.clip(t, g, d) / g)), [], [], 0.0
     for m in range(1, r + 1):
-        lo, hi = m * g, min(m * d, c)
-        if lo >= c - _BND_EPS:
-            yield 0.0, 0.0  # the region is empty or thinner than _BND_EPS
-            continue
+        lo, hi = m * g, min(m * d, top)
+        if lo >= top - _BND_EPS:
+            break  # the region is empty or thinner than _BND_EPS
         if m > 1:
             kinks = [a * g + (m - a) * d for a in range(m)]
             graded = [lo + g * 2.0 ** i for i in range(int((hi - lo) / g).bit_length())]
@@ -98,27 +97,26 @@ def _sliced_moments(r, g, d, c):
                 bounds, lambda s, f=level, m=m: m * (f(s - g) - f(s - d)) / s)
             above = math.log(d / g) ** m if hi >= m * d - _BND_EPS else None
             level = _PiecewiseCheb(bounds, coef, left=0.0, right=above)
-            tails += float(tail.sum())
-        val = float(level(c))
-        yield val, tails + 8 * m * np.finfo(float).eps * abs(val)
+            total += float(tail.sum())
+        levels.append(level)
+        tails.append(total)
+    return levels, tails
 
 
 def sliced_cube_integral(r, iv: Interval, c, with_error=False):
     """Integral of 1/(z_1...z_r) over [gamma, delta]^r cut by sum z_i <= c.
 
-    Exactly 0 when r*gamma >= c (the region is empty or degenerate); 1 when
-    r = 0.  Otherwise read off the ladder of antiderivatives; with_error also
-    returns the error estimate of _sliced_moments.
+    Exactly 0, before any level is built, when r*gamma >= c (the region is
+    empty or degenerate); 1 when r = 0.  Otherwise read off the ladder; with_error
+    also returns its error terms through order r plus 8*r*eps*|value|.
     """
-    if r < 0:
-        raise DomainError(f"need r >= 0, got {r}")
-    if r == 0:
-        if c < 0:
-            raise DomainError(f"need c >= 0, got {c}")
-        return (1.0, 0.0) if with_error else 1.0
-    if c <= 0:
-        raise DomainError(f"need c > 0, got {c}")
-    val, err = list(_sliced_moments(r, iv.g, iv.d, c))[-1]
+    if r < 0 or not (c > 0 or r == 0 and c >= 0):
+        raise DomainError(f"need r >= 0 and c > 0 (c >= 0 if r = 0), got r={r}, c={c}")
+    val, err = (1.0 if r == 0 else 0.0), 0.0
+    if r > 0 and r * iv.g < c - _BND_EPS:
+        levels, tails = _ladder(r, iv.g, iv.d, c)
+        val = float(levels[-1](c))
+        err = tails[-1] + 8 * r * np.finfo(float).eps * abs(val)
     return (val, err) if with_error else val
 
 
@@ -207,7 +205,7 @@ def Q_recurrence(k, gamma):
 
 def support_bound(gamma):
     """floor(1/gamma), exact for Fraction input."""
-    if isinstance(gamma, Rational) and not isinstance(gamma, float):
+    if _is_exact(gamma):
         return int(Fraction(1) / Fraction(gamma))
     return int(math.floor(1.0 / float(gamma) + 1e-9))
 
@@ -218,8 +216,14 @@ def p_limit(iv: Interval):
     Falling moments q_0..q_r from the ladder of antiderivatives, inverted to
     probabilities and renormalized.
     """
-    moments = _sliced_moments(support_bound(iv.gamma), iv.g, iv.d, 1.0)
-    q = [1.0] + [max(v, 0.0) for v, _ in moments]
+    r = support_bound(iv.gamma)
+    levels, _ = _ladder(r, iv.g, iv.d, 1.0)
+    return _pmf([float(level(1.0)) for level in levels] + [0.0] * (r - len(levels)))
+
+
+def _pmf(moments):
+    """The pmf with falling moments 1, moments...; negative moments read as 0."""
+    q = [1.0] + [max(v, 0.0) for v in moments]
     return pmf_from_falling_moments(MomentVector(tuple(q)))
 
 

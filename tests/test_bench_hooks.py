@@ -57,3 +57,17 @@ def test_finite_n_monte_carlo_checks_pass(seed):
     assert len(ops) == 2
     for op in ops:
         assert op.check(op.call()) is None, (seed, op.name)
+
+
+def test_limit_sweep_figure_and_argmax_checks_pass():
+    # the figure and argmax_p against their independent checks (q2 closed
+    # form, gamma_star) and against the values recorded in reference.json
+    workloads = _load("workloads")
+    reference = workloads.load_reference("limit-sweep")
+    ops = [op for op in workloads.limit_sweep(workloads.DEFAULT_SEED).ops
+           if op.name in ("figure", "argmax")]
+    assert len(ops) == 2
+    for op in ops:
+        out = op.call()
+        assert op.check(out) is None, op.name
+        assert workloads.compare_reference(out, reference[op.name], op.ref_tol) is None, op.name

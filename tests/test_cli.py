@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import cyclewindow.cli as cli
-from cyclewindow import __version__
+from cyclewindow import __version__, limit_integrals
 from cyclewindow.cli import Report, emit_figure_data, run
 from cyclewindow.errors import DomainError, ToleranceNotMet
+from cyclewindow.limit_integrals import Interval, p_limit
 
 
 def run_capture(capsys, *argv):
@@ -108,6 +109,12 @@ class TestSubcommands:
                                                       abs=1e-9)
         assert 0 <= rep["errors"]["estimate"] < 1e-9
 
+    def test_limit_moment_above_the_slice_is_zero(self, capsys):
+        rc, out, _ = run_capture(capsys, "limit-moment", "--r", "1000000000",
+                                 "--gamma", "1/2", "--delta", "1", "--json")
+        assert rc == 0
+        assert json.loads(out)["results"]["q_r"] == 0.0
+
     def test_gamma_star(self, capsys):
         rc, out, _ = run_capture(capsys, "gamma-star", "--json")
         assert rc == 0
@@ -183,6 +190,44 @@ class TestFigure:
         header = out.splitlines()[0]
         assert header == "gamma,P0,P1,P2"
         assert len(out.splitlines()) == 6
+
+    @pytest.mark.parametrize("lo,hi,points", [
+        (0.34, 1.0, 400), (1 / 3 - 1e-3, 1.0, 300), (0.499, 0.501, 3), (0.6, 0.9, 50)])
+    def test_rows_match_per_window_p_limit(self, lo, hi, points):
+        # the rows are read off one ladder for (lo, 1]; each must match the
+        # pmf of its own window (gamma, 1], zero-padded to P0..P2; at
+        # gamma = 1 the window is empty and no cycle falls in it
+        rows = emit_figure_data(lo, hi, points)
+        assert len(rows) == points
+        for g, *got in rows:
+            want = (1.0, 0.0, 0.0) if g == 1.0 else (
+                p_limit(Interval(g, 1.0)).as_floats() + (0.0,) * 2)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15, g
+
+    def test_one_ladder_and_no_p_limit(self, monkeypatch):
+        builds = []
+        antiderivative = limit_integrals._antiderivative
+
+        def counted(*args, **kwargs):
+            builds.append(args[0])
+            return antiderivative(*args, **kwargs)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("p_limit called")
+
+        monkeypatch.setattr(limit_integrals, "_antiderivative", counted)
+        monkeypatch.setattr(limit_integrals, "p_limit", boom)
+        monkeypatch.setattr(cli, "p_limit", boom)
+        assert len(emit_figure_data(0.34, 1.0, 400)) == 400
+        assert len(builds) <= 2
+
+    def test_points_over_the_cap_exit_2(self, capsys):
+        t0 = time.perf_counter()
+        rc, _, err = run_capture(capsys, "figure", "--lo", "0.34", "--hi", "1",
+                                 "--points", "1000000000")
+        assert rc == 2
+        assert "error:" in err and "points" in err
+        assert time.perf_counter() - t0 < 1.0
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -122,11 +122,26 @@ class TestSlicedCubeIntegral:
         assert 0 <= err < 1e-9
         assert val == pytest.approx(q_limit(2, Interval(0.3, 0.8)), abs=0)
 
+    def test_huge_order_above_the_slice_is_zero(self):
+        # every order with r*gamma >= c vanishes; no level is built for it
+        t0 = time.perf_counter()
+        assert sliced_cube_integral(10**9, Interval(0.5, 1.0), 1.0,
+                                    with_error=True) == (0.0, 0.0)
+        assert time.perf_counter() - t0 < 0.01
+
+    def test_infinite_slice_is_the_full_box(self):
+        iv = Interval(0.3, 0.8)
+        assert sliced_cube_integral(2, iv, math.inf) == pytest.approx(
+            math.log(0.8 / 0.3) ** 2, rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             sliced_cube_integral(-1, Interval(0.3, 0.8), 1.0)
         with pytest.raises(DomainError):
             sliced_cube_integral(2, Interval(0.3, 0.8), 0.0)
+        for r in (0, 2):
+            with pytest.raises(DomainError):
+                sliced_cube_integral(r, Interval(0.3, 0.8), math.nan, with_error=True)
 
 
 class TestQ2Oracle:
@@ -422,6 +437,14 @@ class TestArgmaxP:
         assert got == pytest.approx(0.25, abs=1e-4)
         val = p_limit(Interval(got, 1.0))[2]
         assert val == pytest.approx(0.361432593, abs=1e-4)
+
+    def test_deep_lower_bracket(self):
+        # one p_limit per point: a ladder based at lo = 1/1500 would need
+        # 1500 levels, past LADDER_MAX_ORDER
+        t0 = time.perf_counter()
+        got = argmax_p(1, 1 / 1500, 0.5)
+        assert time.perf_counter() - t0 < 1.0
+        assert got == pytest.approx(gamma_star(), abs=1e-6)
 
     def test_domain(self):
         with pytest.raises(DomainError):

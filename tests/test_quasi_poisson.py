@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclewindow.errors import DomainError, InvalidMomentsError
-from cyclewindow.limit_integrals import _sliced_moments
+from cyclewindow.limit_integrals import _ladder
 from cyclewindow.quasi_poisson import (
     MomentVector, Pmf, binomial_matrices, falling_moment,
     pmf_from_falling_moments, qp_pmf,
@@ -182,7 +182,9 @@ class TestInversion:
         # the float moments p_limit inverts, against the same values read as
         # Fractions: clamped and renormalized in integers, each entry is
         # rounded once, so the two agree to the last bit
-        q = [1.0] + [max(v, 0.0) for v, _ in _sliced_moments(support, gamma, delta, 1.0)]
+        levels, _ = _ladder(support, gamma, delta, 1.0)
+        q = [1.0] + [max(float(level(1.0)), 0.0) for level in levels]
+        q += [0.0] * (support + 1 - len(q))  # orders past the last level are 0
         got = pmf_from_falling_moments(MomentVector(tuple(q))).as_floats()
         want = pmf_from_falling_moments(MomentVector(tuple(map(Fraction, q)))).as_floats()
         assert len(got) == support + 1
