@@ -72,6 +72,11 @@ class Interval:
 LADDER_MAX_ORDER = 1000  # (1/1000, 1) peaks at 2e298; (1/1200, 1) overflows float64
 
 
+def _box_moment(m, g, d):
+    """ln(d/g)^m, order m at c >= m*d, with the bits of the ladder's level m."""
+    return float(np.log(d / g)) if m == 1 else math.log(d / g) ** m
+
+
 def _ladder(r, g, d, top):
     """(levels, tails): the tables of orders 1..r up to the slice top, and errors.
 
@@ -93,9 +98,10 @@ def _ladder(r, g, d, top):
             kinks = [a * g + (m - a) * d for a in range(m)]
             graded = [lo + g * 2.0 ** i for i in range(int((hi - lo) / g).bit_length())]
             bounds = _dedupe([lo, hi] + [p for p in kinks + graded if lo < p < hi])
-            coef, tail = _antiderivative(
-                bounds, lambda s, f=level, m=m: m * (f(s - g) - f(s - d)) / s)
-            above = math.log(d / g) ** m if hi >= m * d - _BND_EPS else None
+            # one call reads the level below at both shifts
+            coef, tail = _antiderivative(bounds, lambda s, f=level, m=m: m * np.subtract(
+                *f(np.concatenate((s - g, s - d))).reshape(2, -1)) / s)
+            above = _box_moment(m, g, d) if hi >= m * d - _BND_EPS else None
             level = _PiecewiseCheb(bounds, coef, left=0.0, right=above)
             total += float(tail.sum())
         levels.append(level)
@@ -107,16 +113,20 @@ def sliced_cube_integral(r, iv: Interval, c, with_error=False):
     """Integral of 1/(z_1...z_r) over [gamma, delta]^r cut by sum z_i <= c.
 
     Exactly 0, before any level is built, when r*gamma >= c (the region is
-    empty or degenerate); 1 when r = 0.  Otherwise read off the ladder; with_error
-    also returns its error terms through order r plus 8*r*eps*|value|.
+    empty or degenerate); 1 when r = 0; ln(delta/gamma)^r, also unbuilt, when
+    r*delta <= c.  Otherwise read off the ladder.  with_error also returns the
+    ladder's error terms through order r, if read, plus 8*r*eps*|value|.
     """
     if r < 0 or not (c > 0 or r == 0 and c >= 0):
         raise DomainError(f"need r >= 0 and c > 0 (c >= 0 if r = 0), got r={r}, c={c}")
     val, err = (1.0 if r == 0 else 0.0), 0.0
     if r > 0 and r * iv.g < c - _BND_EPS:
-        levels, tails = _ladder(r, iv.g, iv.d, c)
-        val = float(levels[-1](c))
-        err = tails[-1] + 8 * r * np.finfo(float).eps * abs(val)
+        if r * iv.delta <= c:
+            val = _box_moment(r, iv.g, iv.d)
+        else:
+            levels, tails = _ladder(r, iv.g, iv.d, c)
+            val, err = float(levels[-1](c)), tails[-1]
+        err += 8 * r * np.finfo(float).eps * abs(val)
     return (val, err) if with_error else val
 
 
@@ -214,9 +224,12 @@ def p_limit(iv: Interval):
     """Limiting pmf of the window cycle count, supported on {0..floor(1/gamma)}.
 
     Falling moments q_0..q_r from the ladder of antiderivatives, inverted to
-    probabilities and renormalized.
+    probabilities and renormalized.  When r*delta <= 1 the whole box lies
+    under the slice and no level is built: q_m = ln(delta/gamma)^m.
     """
     r = support_bound(iv.gamma)
+    if r * iv.delta <= 1:
+        return _pmf([_box_moment(m, iv.g, iv.d) for m in range(1, r + 1)])
     levels, _ = _ladder(r, iv.g, iv.d, 1.0)
     return _pmf([float(level(1.0)) for level in levels] + [0.0] * (r - len(levels)))
 

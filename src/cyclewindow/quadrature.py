@@ -23,15 +23,17 @@ than MAX_LIVE_PANELS live panels in one integral, raises ToleranceNotMet
 rather than refining on to MAX_DEPTH.
 
 _PiecewiseCheb holds degree-32 Chebyshev interpolants on consecutive pieces
-and evaluates them on whole arrays.  _antiderivative integrates a function on
-every piece at once, with one matrix product and one cumsum: the method of
-steps for delay equations (Bellman and Cooke, Differential-Difference
+and evaluates them on whole arrays, or on one float in Python floats, with
+the same bits.  _antiderivative integrates a function on every piece at
+once, with one matrix product and one cumsum: the method of steps for delay
+equations (Bellman and Cooke, Differential-Difference
 Equations, 1963) behind the limit ladder and the Buchstab function.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -356,7 +358,9 @@ class _PiecewiseCheb:
     queries that only stray past it by roundoff).  Calls take arrays: each
     point's piece is found by searchsorted and all points run one Clenshaw
     recurrence together, in numpy's mapdomain/chebval operation order, so
-    values are bit-identical to Chebyshev(coef[i], domain=[a, b])(t).
+    values are bit-identical to Chebyshev(coef[i], domain=[a, b])(t).  A
+    Python float or np.float64 runs the same recurrence in floats and
+    returns a float with the same bits.
     """
 
     def __init__(self, bounds, coef, left, right):
@@ -371,21 +375,40 @@ class _PiecewiseCheb:
         self.right = right
 
     def __call__(self, t):
+        if isinstance(t, float):  # a Python float or np.float64
+            return self._at(float(t))
         t = np.asarray(t, dtype=float)
         b = self.bounds
         tc = np.clip(t, b[0], b[-1])
         i = np.minimum(np.searchsorted(b, tc, side="right") - 1, len(b) - 2)
-        x = self.off[i] + self.scl[i] * tc
-        x2 = 2 * x
-        c1, c0 = self.coef[0][i], self.coef[1][i]
-        for a in self.coef[2:]:
-            c0, c1 = a[i] - c1, c0 + c1 * x2
-        out = c0 + c1 * x
+        # one gather of every point's piece coefficients, not one per step
+        out = _clenshaw(self.off[i] + self.scl[i] * tc, *self.coef[:, i])
         if self.left is not None:
             out = np.where(t <= b[0], self.left, out)
         if self.right is not None:
             out = np.where(t >= b[-1], self.right, out)
         return out
+
+    def _at(self, t):
+        b = self.bounds
+        lo, hi = b.item(0), b.item(-1)
+        if self.right is not None and t >= hi:
+            return float(self.right)
+        if self.left is not None and t <= lo:
+            return float(self.left)
+        tc = min(max(t, lo), hi)
+        i = min(bisect_right(b, tc), len(b) - 1) - 1
+        return _clenshaw(self.off.item(i) + self.scl.item(i) * tc, *self.coef[:, i].tolist())
+
+
+def _clenshaw(x, c1, c0, *rows):
+    # numpy's chebval recurrence, highest coefficient first, on arrays or on
+    # Python floats: both round each operation once, with no FMA, so the
+    # bits are the same
+    x2 = 2 * x
+    for a in rows:
+        c0, c1 = a - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def _dedupe(points, eps=_BND_EPS):
@@ -408,6 +431,8 @@ def _interp_pieces(bounds, fn):
     # numpy's mapdomain from the window [-1, 1] to each piece
     nodes = (lo + hi) / 2.0 + (hi - lo) / 2.0 * _CHEB_PTS
     ys = np.reshape(fn(nodes.ravel()), nodes.shape)
+    # one np.dot per piece, not one batched product: ys @ V, np.dot(V.T, ys.T)
+    # and einsum sum in another order and lose bit-identity with numpy
     coef = np.array([np.dot(_CHEB_VANDER.T, y) for y in ys])
     coef[:, 0] /= _CHEB_DEG + 1
     coef[:, 1:] /= 0.5 * (_CHEB_DEG + 1)

@@ -71,3 +71,19 @@ def test_limit_sweep_figure_and_argmax_checks_pass():
         out = op.call()
         assert op.check(out) is None, op.name
         assert workloads.compare_reference(out, reference[op.name], op.ref_tol) is None, op.name
+
+
+@pytest.mark.parametrize("workload", ["limit-deep", "limit-sweep"])
+def test_limit_window_checks_pass(workload):
+    # every p_limit window against its independent checks and the values
+    # recorded in reference.json: a change that moves a window's bits past
+    # op.ref_tol fails here before it fails the benchmark
+    workloads = _load("workloads")
+    reference = workloads.load_reference(workload)
+    ops = [op for op in workloads.WORKLOADS[workload](workloads.DEFAULT_SEED).ops
+           if op.fn == "p_limit"]
+    assert len(ops) == {"limit-deep": 3, "limit-sweep": workloads.SWEEP_WINDOWS}[workload]
+    for op in ops:
+        out = op.call()
+        assert op.check(out) is None, op.name
+        assert workloads.compare_reference(out, reference[op.name], op.ref_tol) is None, op.name

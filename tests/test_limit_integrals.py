@@ -14,15 +14,16 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import Chebyshev
 
+from cyclewindow import limit_integrals
 from cyclewindow.errors import DomainError
 from cyclewindow.exact_finite import exact_pmf, normalized_window
 from cyclewindow.limit_integrals import (
-    Interval, Q_recurrence, _interp_pieces, _PiecewiseCheb, argmax_p,
+    Interval, Q_recurrence, _interp_pieces, _ladder, _PiecewiseCheb, argmax_p,
     ewens_lambda, gamma_star, p1_derivative, p_limit, q2_closed_form, q_limit,
     sliced_cube_integral, small_simplex_ratio, support_bound,
 )
 from cyclewindow.quasi_poisson import (
-    MomentVector, falling_moment, pmf_from_falling_moments,
+    MomentVector, falling_moment, pmf_from_falling_moments, qp_pmf,
 )
 
 GAMMA_STAR = 1.0 / (1.0 + math.exp(0.5))
@@ -45,6 +46,15 @@ class TestInterval:
 def _chebs(bounds, coef):
     """The numpy Chebyshev object of each coefficient row on its piece."""
     return [Chebyshev(c, domain=[a, b]) for a, b, c in zip(bounds, bounds[1:], coef)]
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    """The argument tuples of every _antiderivative call the ladder makes."""
+    builds, build = [], limit_integrals._antiderivative
+    monkeypatch.setattr(limit_integrals, "_antiderivative",
+                        lambda *args: builds.append(args) or build(*args))
+    return builds
 
 
 class TestPiecewiseCheb:
@@ -84,6 +94,25 @@ class TestPiecewiseCheb:
             assert list(cheb.coef) == list(want.coef)
             assert list(cheb.domain) == [a, b]
 
+    @pytest.mark.parametrize("left, right", [(None, None), (0.0, None), (None, 2.5),
+                                             (0.0, 2.5)])
+    def test_scalar_and_array_reads_agree_bit_for_bit(self, left, right):
+        # a Python float or np.float64 runs the float Clenshaw, anything else
+        # the numpy one; both give the same bits, on and off the bounds
+        bounds = [0.15, 0.3, 0.42, 0.9]
+        level = lambda t: np.log(t / 0.15) * np.log(np.maximum(t, 0.3) / 0.3 + 1.0)
+        table = _PiecewiseCheb(bounds, _interp_pieces(bounds, level), left, right)
+        ts = np.concatenate([
+            bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf),
+            np.random.default_rng(7).uniform(0.1, 1.0, 400),
+            [-np.inf, np.inf, np.nan, 0.0, -0.0],
+        ])
+        many = table(ts).tolist()
+        for t, want in zip(ts.tolist(), many):
+            for got in (table(t), table(np.float64(t)), table(np.array([t])).item()):
+                assert type(got) is float and got.hex() == want.hex(), (t, got, want)
+        assert math.isnan(many[-3])
+
     def test_outside_range(self):
         bounds = [0.2, 0.5]
         table = _PiecewiseCheb(bounds, _interp_pieces(bounds, np.exp),
@@ -115,6 +144,32 @@ class TestSlicedCubeIntegral:
         for r in (2, 3, 4):
             want = math.log(0.2 / 0.05) ** r
             assert q_limit(r, iv) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("r, g, d, c", [(1, 0.26, 0.311, 1.0), (3, 0.26, 0.311, 1.0),
+                                            (4, 0.05, 0.2, 1.0), (3, 0.1, 0.2, 0.7),
+                                            (2, 0.3, 0.5, 1.0)])
+    def test_box_under_the_slice_is_not_built(self, r, g, d, c, count_builds):
+        # r*delta <= c: ln(delta/gamma)^r with the bits the ladder reads at c;
+        # numpy's and Python's log differ in the last bit at 0.311/0.26
+        val, err = sliced_cube_integral(r, Interval(g, d), c, with_error=True)
+        assert count_builds == []
+        assert val == float(_ladder(r, g, d, c)[0][-1](c))
+        assert err == 8 * r * np.finfo(float).eps * val
+
+    def test_each_level_reads_the_level_below_in_one_call(self, monkeypatch):
+        # the integrand of level m reads level m-1 at s - gamma and s - delta
+        # in one array call; level 2 reads level 1, the log, not a table
+        calls, call = [], _PiecewiseCheb.__call__
+
+        def counted(table, t):
+            if not isinstance(t, float):
+                calls.append(table)
+            return call(table, t)
+
+        monkeypatch.setattr(_PiecewiseCheb, "__call__", counted)
+        levels, _ = _ladder(10, 1 / 10.3, 1.0, 1.0)
+        assert len(levels) == 10
+        assert calls == levels[1:-1]
 
     def test_error_estimate_returned(self):
         val, err = sliced_cube_integral(2, Interval(0.3, 0.8), 1.0,
@@ -297,6 +352,24 @@ class TestPLimit:
         for a, b in zip(got.as_floats(), want):
             assert a == pytest.approx(b, abs=1e-10)
         assert got.as_floats()[4] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("g, d", [(0.26, 0.31), (0.26, 0.311),
+                                      (Fraction(2, 7), Fraction(1, 3))])
+    def test_box_under_the_slice_is_quasi_poisson_unbuilt(self, g, d, count_builds):
+        # K*delta <= 1 with K = support_bound(gamma): every q_m = ln(delta/gamma)^m
+        iv = Interval(g, d)
+        k = support_bound(g)
+        got = p_limit(iv)
+        assert count_builds == []
+        want = qp_pmf(k, math.log(iv.d / iv.g)).as_floats()
+        assert len(got) == k + 1
+        assert max(abs(a - b) for a, b in zip(got.as_floats(), want)) <= 1e-15
+        levels, _ = _ladder(k, iv.g, iv.d, 1.0)  # the ladder gives the same bits
+        assert got == pmf_from_falling_moments(
+            MomentVector((1.0, *(float(level(1.0)) for level in levels))))
+        count_builds.clear()
+        p_limit(Interval(g, 0.5))  # K*delta > 1 still builds the ladder
+        assert count_builds
 
     def test_third_to_half_truncates_support_at_two(self):
         # 3 * (1/3) = 1: three window cycles fit only on a null set, so the
