@@ -113,20 +113,16 @@ def sliced_cube_integral(r, iv: Interval, c, with_error=False):
     """Integral of 1/(z_1...z_r) over [gamma, delta]^r cut by sum z_i <= c.
 
     Exactly 0, before any level is built, when r*gamma >= c (the region is
-    empty or degenerate); 1 when r = 0; ln(delta/gamma)^r, also unbuilt, when
-    r*delta <= c.  Otherwise read off the ladder.  with_error also returns the
-    ladder's error terms through order r, if read, plus 8*r*eps*|value|.
+    empty or degenerate); 1 when r = 0.  Otherwise read off the ladder; with_error
+    also returns its error terms through order r plus 8*r*eps*|value|.
     """
     if r < 0 or not (c > 0 or r == 0 and c >= 0):
         raise DomainError(f"need r >= 0 and c > 0 (c >= 0 if r = 0), got r={r}, c={c}")
     val, err = (1.0 if r == 0 else 0.0), 0.0
     if r > 0 and r * iv.g < c - _BND_EPS:
-        if r * iv.delta <= c:
-            val = _box_moment(r, iv.g, iv.d)
-        else:
-            levels, tails = _ladder(r, iv.g, iv.d, c)
-            val, err = float(levels[-1](c)), tails[-1]
-        err += 8 * r * np.finfo(float).eps * abs(val)
+        levels, tails = _ladder(r, iv.g, iv.d, c)
+        val = float(levels[-1](c))
+        err = tails[-1] + 8 * r * np.finfo(float).eps * abs(val)
     return (val, err) if with_error else val
 
 
@@ -225,10 +221,11 @@ def p_limit(iv: Interval):
 
     Falling moments q_0..q_r from the ladder of antiderivatives, inverted to
     probabilities and renormalized.  When r*delta <= 1 the whole box lies
-    under the slice and no level is built: q_m = ln(delta/gamma)^m.
+    under the slice and no level is built: q_m = ln(delta/gamma)^m.  Raises
+    DomainError when r > LADDER_MAX_ORDER.
     """
     r = support_bound(iv.gamma)
-    if r * iv.delta <= 1:
+    if r * iv.delta <= 1 and r <= LADDER_MAX_ORDER:  # else _ladder refuses
         return _pmf([_box_moment(m, iv.g, iv.d) for m in range(1, r + 1)])
     levels, _ = _ladder(r, iv.g, iv.d, 1.0)
     return _pmf([float(level(1.0)) for level in levels] + [0.0] * (r - len(levels)))

@@ -145,17 +145,6 @@ class TestSlicedCubeIntegral:
             want = math.log(0.2 / 0.05) ** r
             assert q_limit(r, iv) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("r, g, d, c", [(1, 0.26, 0.311, 1.0), (3, 0.26, 0.311, 1.0),
-                                            (4, 0.05, 0.2, 1.0), (3, 0.1, 0.2, 0.7),
-                                            (2, 0.3, 0.5, 1.0)])
-    def test_box_under_the_slice_is_not_built(self, r, g, d, c, count_builds):
-        # r*delta <= c: ln(delta/gamma)^r with the bits the ladder reads at c;
-        # numpy's and Python's log differ in the last bit at 0.311/0.26
-        val, err = sliced_cube_integral(r, Interval(g, d), c, with_error=True)
-        assert count_builds == []
-        assert val == float(_ladder(r, g, d, c)[0][-1](c))
-        assert err == 8 * r * np.finfo(float).eps * val
-
     def test_each_level_reads_the_level_below_in_one_call(self, monkeypatch):
         # the integrand of level m reads level m-1 at s - gamma and s - delta
         # in one array call; level 2 reads level 1, the log, not a table
@@ -197,6 +186,9 @@ class TestSlicedCubeIntegral:
         for r in (0, 2):
             with pytest.raises(DomainError):
                 sliced_cube_integral(r, Interval(0.3, 0.8), math.nan, with_error=True)
+        for c in (1e6, math.inf):  # refused before ln(10)^2000 can overflow
+            with pytest.raises(DomainError, match="ladder"):
+                sliced_cube_integral(2000, Interval(0.1, 1), c)
 
 
 class TestQ2Oracle:
@@ -450,6 +442,18 @@ class TestPLimit:
         with pytest.raises(DomainError, match="ladder"):
             p_limit(Interval(g, 1))
         assert time.perf_counter() - t0 < 5.0
+
+    @pytest.mark.parametrize("g, d", [
+        (Fraction(9, 10**10), Fraction(90000000005, 10**20)), (9e-10, 9.0000000005e-10),
+        (Fraction(2, 3001), Fraction(1, 1500)),
+    ])
+    def test_box_under_the_slice_over_the_cap_is_refused(self, g, d):
+        # K*delta <= 1, but K > LADDER_MAX_ORDER: refused before any moment
+        # is computed (K = 1111111111 for the first two)
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="ladder"):
+            p_limit(Interval(g, d))
+        assert time.perf_counter() - t0 < 0.05
 
     def test_deep_window_box_moments(self):
         # gamma near 1/20, delta near 1/10: support 20, 18 nested levels.
