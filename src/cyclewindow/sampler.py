@@ -138,26 +138,45 @@ def sample_cycle_lengths(n, sigma, gen):
     return CycleLengths(tuple(sizes), n)
 
 
+def _hazard_inverse(hazard):
+    # x -> np.searchsorted(hazard, x, side="left") for x <= hazard[-1], by a guide table (Chen
+    # and Asau, 1974; Devroye, 1986, sec. III.2.4): guide[j] counts the keys int(hazard*inv_h)
+    # below j; key is monotone, so spread steps from guide[key(x)] reach the answer, never pass it.
+    m, h = 4 * len(hazard), float(hazard[-1])  # h = 0 at n = 1, subnormal at tiny sigma
+    inv_h = (m - 1) / h if h > 0 and (m - 1) / h < math.inf else 1.0
+    guide = np.searchsorted((hazard * inv_h).astype(np.int64), np.arange(m + 1))
+    spread = int(np.max(np.diff(guide)))
+
+    def invert(x):
+        i = guide[(np.maximum(x, 0.0) * inv_h).astype(np.int64)]
+        for _ in range(spread):
+            i += hazard[i] < x
+        return i
+    return invert
+
+
 def _feller_tally(gen, draws, hazard, a, b, counts):
     # Feller coupling: position 1 opens a cycle, position i >= 2 opens one
     # with probability p_i = theta/(theta+i-1), and the gaps between openings,
     # with a closing one at n+1, are the cycle lengths.  hazard[k] = H(k+1) =
     # -sum_{i=2}^{k+1} log(1-p_i); walking down, the next opening below top is
-    # the largest i with H(i-1) < H(top-1) - Exp(1).  Below stop = max(a, 2)
-    # every gap left is shorter than a.  Returns the exponentials drawn.
+    # the largest i with H(i-1) < H(top-1) - Exp(1), a guide lookup and a few compares.
+    # Below stop = max(a, 2) every gap left is shorter than a.  Returns the exponentials drawn.
     n, stop, variates = len(hazard), max(a, 2), 0
+    invert = _hazard_inverse(hazard)
     for start in range(0, draws, _ROW_CAP):
         top = np.full(min(_ROW_CAP, draws - start), n + 1, dtype=np.int64)
         hits, total = np.zeros_like(top), np.zeros_like(top)
         while len(top):
             variates += len(top)
             drop = hazard[top - 2] - gen.standard_exponential(len(top))
-            nxt = np.searchsorted(hazard, drop, side="left") + 1
+            nxt = invert(drop) + 1
             length = top - nxt
             hits += (length >= a) & (length <= b)
             total += length
             done = nxt < stop  # the walked gaps and the prefix [1, nxt-1] make n
-            assert np.all(total[done] + nxt[done] - 1 == n)
+            if not np.all(total[done] + nxt[done] - 1 == n):
+                raise RuntimeError("Feller walk: cycle lengths do not sum to n")
             counts += np.bincount(hits[done], minlength=len(counts))
             live = ~done
             top, hits, total = nxt[live], hits[live], total[live]
@@ -177,8 +196,8 @@ def estimate_pmf(n, iv: Interval, sigma, samples, seed):
         raise DomainError(f"need samples >= 1, got {samples}")
     if seed < 0:
         raise DomainError(f"need seed >= 0, got {seed}")
-    if 8 * n > DP_TABLE_MAX_BYTES:  # the float hazard table, refused before it is built
-        raise DomainError(f"estimate_pmf for n = {n} needs {8 * n:.1e} bytes, over the cap")
+    if 40 * n + 8 > DP_TABLE_MAX_BYTES:  # hazard (8n) and guide (8(4n+1)) bytes, before either
+        raise DomainError(f"estimate_pmf for n = {n} needs {40 * n + 8:.1e} bytes, over the cap")
     w = normalized_window(n, iv.gamma, iv.delta)
     # log1p(theta/(i-1)) = -log(1-p_i) stays finite where p_i rounds to 1
     hazard = np.concatenate(([0.0], np.cumsum(np.log1p(float(sigma) / np.arange(1, n)))))

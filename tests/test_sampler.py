@@ -1,17 +1,22 @@
 """Monte Carlo sampler: exactness of the cycle-length law, reproducibility."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cyclewindow import sampler
 from cyclewindow.errors import DomainError
 from cyclewindow.exact_finite import IntWindow, exact_pmf, normalized_window
 from cyclewindow.limit_integrals import Interval
 from cyclewindow.sampler import (
-    CycleLengths, EstimateResult, estimate_pmf, sample_cycle_lengths,
+    CycleLengths, EstimateResult, _hazard_inverse, estimate_pmf, sample_cycle_lengths,
 )
 
 
@@ -212,6 +217,51 @@ class TestEstimatePmf:
             estimate_pmf(10**9, Interval(0.25, 0.5), 1.0, 100, seed=0)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_hazard_and_guide_are_refused_before_building(self):
+        # 8n hazard bytes and 8(4n+1) guide bytes: n = 6,710,886 fits in 256 MiB, this does not.
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="n = 6710887 needs 2.7e[+]08 bytes"):
+            estimate_pmf(6_710_887, Interval(0.25, 0.5), 1.0, 100, seed=0)
+        assert time.perf_counter() - t0 < 1.0
+
+    # Values recorded from the binary-search walk the guide lookup replaced.
+    @pytest.mark.parametrize("args, counts, variates", [
+        ((2000, Interval(Fraction(1, 4), Fraction(1, 3)), 1.0, 50_000, 20260815),
+         (37479, 10821, 1511, 189, 0), 119530),
+        ((2000, Interval(Fraction(1, 4), Fraction(1, 3)), 2.0, 50_000, 20260815),
+         (32575, 14379, 2831, 215, 0), 188249),
+        # more draws than one _ROW_CAP chunk
+        ((10**5, Interval(Fraction(1, 10), Fraction(1, 2)), 0.7, 70_000, 9),
+         (20480, 27965, 10107, 8072, 3013, 349, 14, 0, 0, 0, 0), 182560),
+    ])
+    def test_stream_is_pinned(self, args, counts, variates):
+        res = estimate_pmf(*args)
+        assert res.counts == counts
+        assert res.variates == variates
+
+    def test_guide_is_built_once_per_call(self, monkeypatch):
+        builds, searches = [], []
+        build, search = sampler._hazard_inverse, np.searchsorted
+        monkeypatch.setattr(sampler, "_hazard_inverse", lambda h: builds.append(1) or build(h))
+        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(1) or search(*a, **k))
+        estimate_pmf(3000, Interval(0.25, 0.5), 1.0, 70_000, seed=3)  # two _ROW_CAP chunks
+        assert len(builds) == 1
+        assert len(searches) <= 1
+
+    def test_partition_check_survives_python_dash_o(self):
+        # Every walk starts its running total at 1 instead of 0, so no walk sums to n.
+        code = ("import numpy as np\n"
+                "from cyclewindow.limit_integrals import Interval\n"
+                "from cyclewindow.sampler import estimate_pmf\n"
+                "np.zeros_like = np.ones_like\n"
+                "estimate_pmf(50, Interval(0.25, 0.5), 1.0, 100, seed=0)\n")
+        src = str(Path(sampler.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert "RuntimeError: Feller walk: cycle lengths do not sum to n" in proc.stderr
+
     def test_bit_identical_reruns(self):
         a = estimate_pmf(200, Interval(0.25, 0.5), 1.0, 5_000, seed=4242)
         b = estimate_pmf(200, Interval(0.25, 0.5), 1.0, 5_000, seed=4242)
@@ -247,6 +297,28 @@ class TestEstimatePmf:
             estimate_pmf(10, Interval(0.25, 0.5), sigma, 100, seed=0)
         with pytest.raises(DomainError):
             sample_cycle_lengths(10, sigma, gen(0))
+
+
+def hazard_of(n, sigma):
+    """The cumulative hazard table estimate_pmf builds."""
+    return np.concatenate(([0.0], np.cumsum(np.log1p(float(sigma) / np.arange(1, n)))))
+
+
+class TestHazardInverse:
+    @pytest.mark.parametrize("sigma", [1e-3, 0.5, 1.0, 2.0, 37.0, 1e20, 1e-310])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 2000])
+    def test_matches_searchsorted(self, n, sigma):
+        # Random drops, every hazard value and bucket edge, and their neighbours.  A guide
+        # built on the grid j*hazard[-1]/(4n-1) rather than on the keys int(hazard*inv_h)
+        # starts past the answer here at (3, 1e-3), (50, 1) and (2000, 0.5).
+        hazard = hazard_of(n, sigma)
+        m, h = 4 * n, float(hazard[-1])
+        inv_h = (m - 1) / h if h > 0 and (m - 1) / h < math.inf else 1.0
+        rng = np.random.default_rng(n)
+        base = np.concatenate((rng.uniform(-1.0, h, 5000), hazard, np.arange(m + 1) / inv_h))
+        q = np.concatenate((base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)))
+        q = q[q <= h]  # a walk never drops above hazard[-1]
+        assert np.array_equal(_hazard_inverse(hazard)(q), np.searchsorted(hazard, q, side="left"))
 
 
 class TestResultTypes:
