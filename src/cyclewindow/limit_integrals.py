@@ -5,7 +5,8 @@ length in [gamma*n, delta*n] converges in distribution.  The r-th falling
 moment of the limit is the integral of 1/(z_1 ... z_r) over the box
 [gamma, delta]^r sliced by z_1 + ... + z_r <= 1.  The slice integrals of all
 orders come from one ladder of levels, each a piecewise-Chebyshev
-antiderivative of the level below.  The companion one-parameter recurrence
+antiderivative of the level below; a caller that reads only the top order at
+one slice integrates it in place, with no table.  The companion one-parameter recurrence
 for windows (gamma, 1] stays iterated adaptive quadrature, an oracle that
 shares no table with the ladder.
 """
@@ -20,8 +21,8 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import (
-    _BND_EPS, _antiderivative, _dedupe, _interp_pieces, _PiecewiseCheb, integrate,
-    integrate_many,
+    _BND_EPS, _antiderivative, _dedupe, _integral, _interp_pieces, _PiecewiseCheb,
+    integrate, integrate_many,
 )
 from .quasi_poisson import MomentVector, _is_exact, pmf_from_falling_moments
 from .special_fn import dilog
@@ -77,31 +78,42 @@ def _box_moment(m, g, d):
     return float(np.log(d / g)) if m == 1 else math.log(d / g) ** m
 
 
+def _refuse_past_cap(r, g, d, top):
+    if min(r, top / g) > LADDER_MAX_ORDER:
+        raise DomainError(f"window ({g!r}, {d!r}) needs sliced moments past the "
+                          f"ladder's order cap {LADDER_MAX_ORDER}; they can overflow float64")
+
+
+def _layout(m, g, d, top, below):
+    """(bounds, integrand) of level m >= 2 up to top; below reads level m - 1."""
+    lo, hi = m * g, min(m * d, top)
+    kinks = [a * g + (m - a) * d for a in range(m)]
+    graded = [lo + g * 2.0 ** i for i in range(int((hi - lo) / g).bit_length())]
+    bounds = _dedupe([lo, hi] + [p for p in kinks + graded if lo < p < hi])
+    # one call reads the level below at both shifts
+    return bounds, lambda s: m * np.subtract(
+        *below(np.concatenate((s - g, s - d))).reshape(2, -1)) / s
+
+
 def _ladder(r, g, d, top):
     """(levels, tails): the tables of orders 1..r up to the slice top, and errors.
 
     Level m reads I_m(c) at any c <= top; tails[m-1] sums (b-a)(|c_31|+|c_32|)
-    of every integrand piece up to level m.  The lists stop at the last order
-    with m*gamma < top - _BND_EPS, as every order above it is 0.  Raises
-    DomainError, before building any level, when an order above
-    LADDER_MAX_ORDER can be nonzero.
+    of every integrand piece up to level m.  Level 1 is ln(c/gamma) clipped to
+    the window, not a table; above m*delta a table reads _box_moment.  The
+    lists stop at the last order with m*gamma < top - _BND_EPS, as every order
+    above it is 0.  Raises DomainError, before building any level, when an
+    order above LADDER_MAX_ORDER can be nonzero.
     """
-    if min(r, top / g) > LADDER_MAX_ORDER:
-        raise DomainError(f"window ({g!r}, {d!r}) needs sliced moments past the "
-                          f"ladder's order cap {LADDER_MAX_ORDER}; they can overflow float64")
+    _refuse_past_cap(r, g, d, top)
     level, levels, tails, total = (lambda t: np.log(np.clip(t, g, d) / g)), [], [], 0.0
     for m in range(1, r + 1):
-        lo, hi = m * g, min(m * d, top)
-        if lo >= top - _BND_EPS:
+        if m * g >= top - _BND_EPS:
             break  # the region is empty or thinner than _BND_EPS
         if m > 1:
-            kinks = [a * g + (m - a) * d for a in range(m)]
-            graded = [lo + g * 2.0 ** i for i in range(int((hi - lo) / g).bit_length())]
-            bounds = _dedupe([lo, hi] + [p for p in kinks + graded if lo < p < hi])
-            # one call reads the level below at both shifts
-            coef, tail = _antiderivative(bounds, lambda s, f=level, m=m: m * np.subtract(
-                *f(np.concatenate((s - g, s - d))).reshape(2, -1)) / s)
-            above = _box_moment(m, g, d) if hi >= m * d - _BND_EPS else None
+            bounds, integrand = _layout(m, g, d, top, level)
+            coef, tail = _antiderivative(bounds, integrand)
+            above = _box_moment(m, g, d) if top >= m * d - _BND_EPS else None
             level = _PiecewiseCheb(bounds, coef, left=0.0, right=above)
             total += float(tail.sum())
         levels.append(level)
@@ -109,20 +121,43 @@ def _ladder(r, g, d, top):
     return levels, tails
 
 
+def _moments(r, g, d, top):
+    """(values, tail): I_1..I_r at the slice top, as floats, and the error terms.
+
+    Orders 2..r-1 are read off _ladder's tables; order r is integrated in place
+    by _integral, with no table.  Order 1 is _box_moment at min(delta, top), as
+    is every order with m*delta <= top: the bits a table reads there.  values
+    stops where _ladder's lists would; tail sums the error terms through it.
+    """
+    _refuse_past_cap(r, g, d, top)
+    levels, tails = _ladder(max(r - 1, 1), g, d, top)
+    values = [_box_moment(1, g, min(d, top))][:len(levels)]
+    values += [float(level(top)) for level in levels[1:]]
+    tail = sum(tails[-1:])
+    if r > 1 and r * g < top - _BND_EPS:
+        value, more = _integral(*_layout(r, g, d, top, levels[-1]))
+        values.append(_box_moment(r, g, d) if top >= r * d - _BND_EPS else value)
+        tail += more
+    return values, tail
+
+
 def sliced_cube_integral(r, iv: Interval, c, with_error=False):
     """Integral of 1/(z_1...z_r) over [gamma, delta]^r cut by sum z_i <= c.
 
     Exactly 0, before any level is built, when r*gamma >= c (the region is
-    empty or degenerate); 1 when r = 0.  Otherwise read off the ladder; with_error
-    also returns its error terms through order r plus 8*r*eps*|value|.
+    empty or degenerate); 1 when r = 0.  Otherwise order r of _moments.
+    with_error also returns its error terms, plus eps times 8*r*|value| and,
+    for node rounding, scale*4*I_{m-1}(c)/gamma per level m: every node is at
+    most scale = min(c, r*delta), and 4*I_{m-1}(c)/gamma bounds the total
+    variation of level m's integrand.
     """
     if r < 0 or not (c > 0 or r == 0 and c >= 0):
         raise DomainError(f"need r >= 0 and c > 0 (c >= 0 if r = 0), got r={r}, c={c}")
     val, err = (1.0 if r == 0 else 0.0), 0.0
     if r > 0 and r * iv.g < c - _BND_EPS:
-        levels, tails = _ladder(r, iv.g, iv.d, c)
-        val = float(levels[-1](c))
-        err = tails[-1] + 8 * r * np.finfo(float).eps * abs(val)
+        values, tail = _moments(r, iv.g, iv.d, c)
+        val, nodes = values[-1], 4 * min(c, r * iv.d) / iv.g * sum(map(abs, values[:-1]))
+        err = tail + np.finfo(float).eps * (8 * r * abs(val) + nodes)
     return (val, err) if with_error else val
 
 
@@ -219,16 +254,16 @@ def support_bound(gamma):
 def p_limit(iv: Interval):
     """Limiting pmf of the window cycle count, supported on {0..floor(1/gamma)}.
 
-    Falling moments q_0..q_r from the ladder of antiderivatives, inverted to
-    probabilities and renormalized.  When r*delta <= 1 the whole box lies
+    Falling moments q_0..q_r from the ladder of antiderivatives, its top order
+    integrated in place, inverted to probabilities and renormalized.  When r*delta <= 1 the whole box lies
     under the slice and no level is built: q_m = ln(delta/gamma)^m.  Raises
     DomainError when r > LADDER_MAX_ORDER.
     """
     r = support_bound(iv.gamma)
     if r * iv.delta <= 1 and r <= LADDER_MAX_ORDER:  # else _ladder refuses
         return _pmf([_box_moment(m, iv.g, iv.d) for m in range(1, r + 1)])
-    levels, _ = _ladder(r, iv.g, iv.d, 1.0)
-    return _pmf([float(level(1.0)) for level in levels] + [0.0] * (r - len(levels)))
+    values, _ = _moments(r, iv.g, iv.d, 1.0)
+    return _pmf(values + [0.0] * (r - len(values)))
 
 
 def _pmf(moments):

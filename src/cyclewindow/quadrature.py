@@ -28,6 +28,9 @@ the same bits.  _antiderivative integrates a function on every piece at
 once, with one matrix product and one cumsum: the method of steps for delay
 equations (Bellman and Cooke, Differential-Difference
 Equations, 1963) behind the limit ladder and the Buchstab function.
+_integral gives only the total, with no table: on the same nodes, Fejer's
+first rule (Fejer, 1933; Trefethen, SIAM Review 50, 2008) is one product
+with a fixed matrix.
 """
 
 from __future__ import annotations
@@ -347,6 +350,11 @@ _CHEB_PTS = chebpts1(_CHEB_DEG + 1)
 _CHEB_VANDER = chebvander(_CHEB_PTS, _CHEB_DEG)
 # row k: Chebyshev coefficients of the antiderivative of T_k vanishing at -1
 _CHEB_INTEG = chebint(np.eye(_CHEB_DEG + 1), lbnd=-1, axis=1)
+# node values to, by column, half the interpolant's integral over [-1, 1]
+# (Fejer's first-rule weights: each T_k's integral through the chebvander
+# fit) and the interpolant's last two coefficients, c_31 and c_32
+_CHEB_FIT = _CHEB_VANDER * np.r_[1.0, np.full(_CHEB_DEG, 2.0)] / (_CHEB_DEG + 1)
+_CHEB_QUAD = np.column_stack((_CHEB_FIT @ _CHEB_INTEG.sum(axis=1) / 2.0, _CHEB_FIT[:, -2:]))
 
 
 class _PiecewiseCheb:
@@ -419,6 +427,13 @@ def _dedupe(points, eps=_BND_EPS):
     return out
 
 
+def _nodes(b):
+    """The 33 first-kind Chebyshev nodes of each piece of the bounds array b, a row each."""
+    lo, hi = b[:-1, None], b[1:, None]
+    # numpy's mapdomain from the window [-1, 1] to each piece
+    return (lo + hi) / 2.0 + (hi - lo) / 2.0 * _CHEB_PTS
+
+
 def _interp_pieces(bounds, fn):
     """Degree-32 Chebyshev coefficients of fn, one row per [bounds[i], bounds[i+1]].
 
@@ -426,10 +441,7 @@ def _interp_pieces(bounds, fn):
     Nodes and coefficients are computed as Chebyshev.interpolate computes
     them (one matrix-vector product per piece keeps them bit-identical).
     """
-    b = np.asarray(bounds, dtype=float)
-    lo, hi = b[:-1, None], b[1:, None]
-    # numpy's mapdomain from the window [-1, 1] to each piece
-    nodes = (lo + hi) / 2.0 + (hi - lo) / 2.0 * _CHEB_PTS
+    nodes = _nodes(np.asarray(bounds, dtype=float))
     ys = np.reshape(fn(nodes.ravel()), nodes.shape)
     # one np.dot per piece, not one batched product: ys @ V, np.dot(V.T, ys.T)
     # and einsum sum in another order and lose bit-identity with numpy
@@ -452,3 +464,19 @@ def _antiderivative(bounds, fn, start=0.0):
     rise = anti.sum(axis=1)  # F's rise over each piece: every T_k is 1 at +1
     anti[:, 0] += start + np.concatenate(([0.0], np.cumsum(rise[:-1])))
     return anti, width * np.abs(coef[:, -2:]).sum(axis=1)
+
+
+def _integral(bounds, fn):
+    """(value, tail): the integral of fn over the pieces of bounds, with no table.
+
+    fn is sampled on _interp_pieces's nodes, and one product with _CHEB_QUAD
+    gives each piece's interpolant integral and its c_31 and c_32; tail sums
+    the per-piece terms _antiderivative returns.
+    """
+    b = np.asarray(bounds, dtype=float)
+    nodes = _nodes(b)
+    quad = np.reshape(fn(nodes.ravel()), nodes.shape) @ _CHEB_QUAD
+    width = b[1:] - b[:-1]
+    value, _, _ = (width @ quad).tolist()
+    _, c31, c32 = (width @ np.abs(quad)).tolist()
+    return value, c31 + c32

@@ -87,3 +87,30 @@ def test_limit_window_checks_pass(workload):
         out = op.call()
         assert op.check(out) is None, op.name
         assert workloads.compare_reference(out, reference[op.name], op.ref_tol) is None, op.name
+
+
+def test_limit_sweep_windows_build_below_the_top_and_read_closed_forms(monkeypatch):
+    # every sweep window builds tables for orders 2..r-1 only (none when the
+    # box lies under the slice), and each order the ladder reads as
+    # ln(delta/gamma)^m, level 1 among them, has the full ladder's bits
+    workloads = _load("workloads")
+    windows, builds, p_limit = [], [], limit_integrals.p_limit
+    monkeypatch.setattr(limit_integrals, "p_limit", lambda iv: windows.append(iv) or p_limit(iv))
+    for op in workloads.limit_sweep(workloads.DEFAULT_SEED).ops:
+        if op.fn == "p_limit":
+            op.call()
+    assert len(windows) == workloads.SWEEP_WINDOWS
+    build = limit_integrals._antiderivative
+    monkeypatch.setattr(limit_integrals, "_antiderivative",
+                        lambda *args: builds.append(args) or build(*args))
+    for iv in windows:
+        g, d, r = iv.g, iv.d, limit_integrals.support_bound(iv.gamma)
+        builds.clear()
+        p_limit(iv)
+        assert len(builds) == (0 if r * d <= 1 else max(r - 2, 0)), iv
+        values, _ = limit_integrals._moments(r, g, d, 1.0)
+        levels, _ = limit_integrals._ladder(r, g, d, 1.0)
+        for m in range(1, len(values) + 1):
+            if m * d <= 1:
+                closed = limit_integrals._box_moment(m, g, d).hex()
+                assert values[m - 1].hex() == closed == float(levels[m - 1](1.0)).hex(), (iv, m)

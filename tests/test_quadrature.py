@@ -6,11 +6,12 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebvander
 
 from cyclewindow.errors import DomainError, ToleranceNotMet
 from cyclewindow.quadrature import (
     GK15_GAUSS_WEIGHTS, GK15_NODES, GK15_WEIGHTS, MAX_DEPTH, MAX_LIVE_PANELS,
-    integrate, integrate_many, integrate_simpson,
+    _antiderivative, _integral, _interp_pieces, _PiecewiseCheb, integrate, integrate_many, integrate_simpson,
 )
 
 
@@ -224,3 +225,46 @@ class TestIntegrateMany:
         vals, _ = integrate_many(needle, [0.0], [1.0])
         assert abs(vals[0] - 2.0 / 1e-3 * math.atan(0.5 / 1e-3)) < 1e-9
         assert widest <= 48
+
+
+# (bounds, fn) pairs with kinks at interior bounds
+_KINKED = {
+    "log": ([0.15, 0.3, 0.42, 0.9],
+            lambda t: np.log(t / 0.15) * np.log(np.maximum(t, 0.3) / 0.3 + 1.0)),
+    "graded": ([0.02, 0.04, 0.06, 0.1, 0.18, 0.34, 0.66, 1.0],
+               lambda t: np.log(t / 0.01) / t),
+    "sqrt": ([0.0, 0.2, 0.5, 0.9, 1.4], lambda t: np.sqrt(np.abs(t - 0.5)) + t),
+    "cos": ([0.0, 1.0, 2.5, 3.0, 10.0], lambda t: np.cos(3.0 * t)),
+}
+
+
+class TestIntegral:
+    @pytest.mark.parametrize("k", range(33))
+    def test_integrates_every_chebyshev_polynomial(self, k):
+        # Fejer's first rule on 33 nodes is exact through degree 32
+        value, _ = _integral([-1.0, 1.0], lambda x: chebvander(x, 32)[:, k])
+        assert abs(value - (0.0 if k % 2 else 2.0 / (1 - k * k))) <= 1e-15
+
+    def test_samples_the_interpolation_nodes(self):
+        seen = []
+        sample = lambda t: seen.append(t.copy()) or np.cos(t)
+        bounds = _KINKED["cos"][0]
+        _integral(bounds, sample)
+        _interp_pieces(bounds, sample)
+        assert seen[0].tobytes() == seen[1].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_KINKED))
+    def test_value_matches_the_antiderivative_table(self, name):
+        bounds, fn = _KINKED[name]
+        value, _ = _integral(bounds, fn)
+        table = _PiecewiseCheb(bounds, _antiderivative(bounds, fn)[0], 0.0, None)
+        scale = max(abs(table(b)) for b in bounds)
+        assert abs(value - table(bounds[-1])) <= 4 * np.spacing(scale)
+
+    @pytest.mark.parametrize("name", ["sqrt", "cos"])
+    def test_tail_matches_the_summed_table_tails(self, name):
+        # functions whose c_31 and c_32 stand above rounding noise
+        bounds, fn = _KINKED[name]
+        _, tail = _integral(bounds, fn)
+        want = float(_antiderivative(bounds, fn)[1].sum())
+        assert abs(tail - want) <= 1e-17 + 0.01 * want
