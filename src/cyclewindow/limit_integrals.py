@@ -78,12 +78,6 @@ def _box_moment(m, g, d):
     return float(np.log(d / g)) if m == 1 else math.log(d / g) ** m
 
 
-def _refuse_past_cap(r, g, d, top):
-    if min(r, top / g) > LADDER_MAX_ORDER:
-        raise DomainError(f"window ({g!r}, {d!r}) needs sliced moments past the "
-                          f"ladder's order cap {LADDER_MAX_ORDER}; they can overflow float64")
-
-
 def _layout(m, g, d, top, below):
     """(bounds, integrand) of level m >= 2 up to top; below reads level m - 1."""
     lo, hi = m * g, min(m * d, top)
@@ -102,10 +96,8 @@ def _ladder(r, g, d, top):
     of every integrand piece up to level m.  Level 1 is ln(c/gamma) clipped to
     the window, not a table; above m*delta a table reads _box_moment.  The
     lists stop at the last order with m*gamma < top - _BND_EPS, as every order
-    above it is 0.  Raises DomainError, before building any level, when an
-    order above LADDER_MAX_ORDER can be nonzero.
+    above it is 0.
     """
-    _refuse_past_cap(r, g, d, top)
     level, levels, tails, total = (lambda t: np.log(np.clip(t, g, d) / g)), [], [], 0.0
     for m in range(1, r + 1):
         if m * g >= top - _BND_EPS:
@@ -124,19 +116,25 @@ def _ladder(r, g, d, top):
 def _moments(r, g, d, top):
     """(values, tail): I_1..I_r at the slice top, as floats, and the error terms.
 
-    Orders 2..r-1 are read off _ladder's tables; order r is integrated in place
-    by _integral, with no table.  Order 1 is _box_moment at min(delta, top), as
-    is every order with m*delta <= top: the bits a table reads there.  values
-    stops where _ladder's lists would; tail sums the error terms through it.
+    Raises DomainError first when an order above LADDER_MAX_ORDER can be
+    nonzero.  When r*delta <= top the box lies under the slice: every order is
+    _box_moment, the tail 0, and nothing is built.  Otherwise order 1 is
+    _box_moment at min(delta, top), orders 2..r-1 are the ends of _ladder's
+    tables, and order r is integrated in place by _integral, with no table;
+    values stops where _ladder's lists would.
     """
-    _refuse_past_cap(r, g, d, top)
+    if min(r, top / g) > LADDER_MAX_ORDER:
+        raise DomainError(f"window ({g!r}, {d!r}) needs sliced moments past the "
+                          f"ladder's order cap {LADDER_MAX_ORDER}; they can overflow float64")
+    if top >= r * d - _BND_EPS:
+        return [_box_moment(m, g, d) for m in range(1, r + 1)], 0.0
     levels, tails = _ladder(max(r - 1, 1), g, d, top)
     values = [_box_moment(1, g, min(d, top))][:len(levels)]
-    values += [float(level(top)) for level in levels[1:]]
+    values += [level.end() for level in levels[1:]]
     tail = sum(tails[-1:])
     if r > 1 and r * g < top - _BND_EPS:
         value, more = _integral(*_layout(r, g, d, top, levels[-1]))
-        values.append(_box_moment(r, g, d) if top >= r * d - _BND_EPS else value)
+        values.append(value)
         tail += more
     return values, tail
 
@@ -221,6 +219,22 @@ def _build_Q_level(j, lo, prev_fn):
     return _PiecewiseCheb(bounds, coef, left=None, right=0.0)
 
 
+RECURRENCE_MAX_PIECES = 250_000  # GK15 pieces, about 2 s; Q_recurrence refuses more
+
+
+def _recurrence_pieces(k, g):
+    # About the GK15 pieces Q_recurrence(k, g) starts, counted until past the cap: level
+    # j < k spans [lo, 1/j], and its 33 nodes in each (1/(i+1), 1/i) start i - j + 1
+    # pieces, 33*s*(s+1)/2 in all for s = 1/lo - j + 1; level k is one integral at gamma.
+    total = 1.0 / g - k
+    for j in range(2, k):
+        s = (1.0 - (k - j) * g) / g - j + 1
+        total += 33 * s * (s + 1) / 2
+        if total > RECURRENCE_MAX_PIECES:
+            break
+    return total
+
+
 def Q_recurrence(k, gamma):
     """Q_k(gamma): limiting k-th falling moment for the window (gamma, 1]."""
     g = float(gamma)
@@ -234,6 +248,9 @@ def Q_recurrence(k, gamma):
         return 0.0
     if k == 1:
         return -math.log(g)
+    if _recurrence_pieces(k, g) > RECURRENCE_MAX_PIECES:
+        raise DomainError(f"Q_recurrence({k}, {gamma!r}) needs over "
+                          f"{RECURRENCE_MAX_PIECES} GK15 pieces")
     prev_fn = lambda x: -np.log(np.minimum(x, 1.0))
     for j in range(2, k):
         # smallest argument reachable at depth j from the target gamma
@@ -254,14 +271,10 @@ def support_bound(gamma):
 def p_limit(iv: Interval):
     """Limiting pmf of the window cycle count, supported on {0..floor(1/gamma)}.
 
-    Falling moments q_0..q_r from the ladder of antiderivatives, its top order
-    integrated in place, inverted to probabilities and renormalized.  When r*delta <= 1 the whole box lies
-    under the slice and no level is built: q_m = ln(delta/gamma)^m.  Raises
-    DomainError when r > LADDER_MAX_ORDER.
+    Falling moments q_1..q_r from _moments at the slice 1, inverted to
+    probabilities and renormalized.  Raises DomainError when r > LADDER_MAX_ORDER.
     """
     r = support_bound(iv.gamma)
-    if r * iv.delta <= 1 and r <= LADDER_MAX_ORDER:  # else _ladder refuses
-        return _pmf([_box_moment(m, iv.g, iv.d) for m in range(1, r + 1)])
     values, _ = _moments(r, iv.g, iv.d, 1.0)
     return _pmf(values + [0.0] * (r - len(values)))
 

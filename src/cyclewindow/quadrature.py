@@ -23,11 +23,12 @@ than MAX_LIVE_PANELS live panels in one integral, raises ToleranceNotMet
 rather than refining on to MAX_DEPTH.
 
 _PiecewiseCheb holds degree-32 Chebyshev interpolants on consecutive pieces
-and evaluates them on whole arrays, or on one float in Python floats, with
-the same bits.  _antiderivative integrates a function on every piece at
-once, with one matrix product and one cumsum: the method of steps for delay
-equations (Bellman and Cooke, Differential-Difference
-Equations, 1963) behind the limit ladder and the Buchstab function.
+and evaluates them on arrays, a scalar giving a 0-d array; end() is the value
+at the last bound, the last piece's coefficient sum, as every T_k is 1 at +1.
+_antiderivative integrates a function on every piece at once, with one matrix
+product and one cumsum: the method of steps for delay equations (Bellman and
+Cooke, Differential-Difference Equations, 1963) behind the limit ladder and
+the Buchstab function.
 _integral gives only the total, with no table: on the same nodes, Fejer's
 first rule (Fejer, 1933; Trefethen, SIAM Review 50, 2008) is one product
 with a fixed matrix.
@@ -36,7 +37,6 @@ with a fixed matrix.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -366,9 +366,7 @@ class _PiecewiseCheb:
     queries that only stray past it by roundoff).  Calls take arrays: each
     point's piece is found by searchsorted and all points run one Clenshaw
     recurrence together, in numpy's mapdomain/chebval operation order, so
-    values are bit-identical to Chebyshev(coef[i], domain=[a, b])(t).  A
-    Python float or np.float64 runs the same recurrence in floats and
-    returns a float with the same bits.
+    values are bit-identical to Chebyshev(coef[i], domain=[a, b])(t).
     """
 
     def __init__(self, bounds, coef, left, right):
@@ -383,8 +381,6 @@ class _PiecewiseCheb:
         self.right = right
 
     def __call__(self, t):
-        if isinstance(t, float):  # a Python float or np.float64
-            return self._at(float(t))
         t = np.asarray(t, dtype=float)
         b = self.bounds
         tc = np.clip(t, b[0], b[-1])
@@ -397,32 +393,23 @@ class _PiecewiseCheb:
             out = np.where(t >= b[-1], self.right, out)
         return out
 
-    def _at(self, t):
-        b = self.bounds
-        lo, hi = b.item(0), b.item(-1)
-        if self.right is not None and t >= hi:
-            return float(self.right)
-        if self.left is not None and t <= lo:
-            return float(self.left)
-        tc = min(max(t, lo), hi)
-        i = min(bisect_right(b, tc), len(b) - 1) - 1
-        return _clenshaw(self.off.item(i) + self.scl.item(i) * tc, *self.coef[:, i].tolist())
+    def end(self):
+        """The value at the last bound: right if set, else the last piece's coefficient sum."""
+        return float(self.coef[:, -1].sum()) if self.right is None else float(self.right)
 
 
 def _clenshaw(x, c1, c0, *rows):
-    # numpy's chebval recurrence, highest coefficient first, on arrays or on
-    # Python floats: both round each operation once, with no FMA, so the
-    # bits are the same
+    # numpy's chebval recurrence, highest coefficient first, with numpy's bits
     x2 = 2 * x
     for a in rows:
         c0, c1 = a - c1, c0 + c1 * x2
     return c0 + c1 * x
 
 
-def _dedupe(points, eps=_BND_EPS):
+def _dedupe(points):
     out = []
     for p in sorted(points):
-        if not out or p - out[-1] > eps:
+        if not out or p - out[-1] > _BND_EPS:
             out.append(p)
     return out
 

@@ -166,20 +166,19 @@ def _feller_tally(gen, draws, hazard, a, b, counts):
     invert = _hazard_inverse(hazard)
     for start in range(0, draws, _ROW_CAP):
         top = np.full(min(_ROW_CAP, draws - start), n + 1, dtype=np.int64)
-        hits, total = np.zeros_like(top), np.zeros_like(top)
+        hits = np.zeros_like(top)
         while len(top):
             variates += len(top)
             drop = hazard[top - 2] - gen.standard_exponential(len(top))
             nxt = invert(drop) + 1
             length = top - nxt
+            if length.min() < 1:  # a walk that does not descend never ends
+                raise RuntimeError("Feller walk: a step did not move down")
             hits += (length >= a) & (length <= b)
-            total += length
-            done = nxt < stop  # the walked gaps and the prefix [1, nxt-1] make n
-            if not np.all(total[done] + nxt[done] - 1 == n):
-                raise RuntimeError("Feller walk: cycle lengths do not sum to n")
+            done = nxt < stop
             counts += np.bincount(hits[done], minlength=len(counts))
             live = ~done
-            top, hits, total = nxt[live], hits[live], total[live]
+            top, hits = nxt[live], hits[live]
     return variates
 
 

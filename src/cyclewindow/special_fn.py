@@ -83,7 +83,7 @@ def _buchstab_table():
     rows = []
     for m in range(2, int(_U_CLAMP)):
         coef, _ = _antiderivative([m, m + 1.0], lambda s, f=prev: f(s - 1.0) / (s - 1.0),
-                                  float(prev(m)))
+                                  prev.end())
         prev = _PiecewiseCheb([m, m + 1.0], coef, None, None)
         rows.append(coef[0])
     return _PiecewiseCheb(range(2, int(_U_CLAMP) + 1), rows, None, None)

@@ -6,16 +6,20 @@ and high-precision evaluation of the analytic formulas.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import Chebyshev
 
-from cyclewindow import limit_integrals
+from cyclewindow import limit_integrals, quadrature
 from cyclewindow.errors import DomainError
 from cyclewindow.exact_finite import exact_pmf, normalized_window
 from cyclewindow.limit_integrals import (
@@ -95,31 +99,13 @@ class TestPiecewiseCheb:
             assert list(cheb.coef) == list(want.coef)
             assert list(cheb.domain) == [a, b]
 
-    @pytest.mark.parametrize("left, right", [(None, None), (0.0, None), (None, 2.5),
-                                             (0.0, 2.5)])
-    def test_scalar_and_array_reads_agree_bit_for_bit(self, left, right):
-        # a Python float or np.float64 runs the float Clenshaw, anything else
-        # the numpy one; both give the same bits, on and off the bounds
-        bounds = [0.15, 0.3, 0.42, 0.9]
-        level = lambda t: np.log(t / 0.15) * np.log(np.maximum(t, 0.3) / 0.3 + 1.0)
-        table = _PiecewiseCheb(bounds, _interp_pieces(bounds, level), left, right)
-        ts = np.concatenate([
-            bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf),
-            np.random.default_rng(7).uniform(0.1, 1.0, 400),
-            [-np.inf, np.inf, np.nan, 0.0, -0.0],
-        ])
-        many = table(ts).tolist()
-        for t, want in zip(ts.tolist(), many):
-            for got in (table(t), table(np.float64(t)), table(np.array([t])).item()):
-                assert type(got) is float and got.hex() == want.hex(), (t, got, want)
-        assert math.isnan(many[-3])
-
     def test_outside_range(self):
         bounds = [0.2, 0.5]
         table = _PiecewiseCheb(bounds, _interp_pieces(bounds, np.exp),
                                left=0.0, right=None)
         assert table(0.1) == 0.0
         assert table(0.7) == table(0.5)
+        assert np.shape(table(0.7)) == ()  # a scalar gives a 0-d array
 
 
 class TestSlicedCubeIntegral:
@@ -150,13 +136,8 @@ class TestSlicedCubeIntegral:
         # the integrand of level m reads level m-1 at s - gamma and s - delta
         # in one array call; level 2 reads level 1, the log, not a table
         calls, call = [], _PiecewiseCheb.__call__
-
-        def counted(table, t):
-            if not isinstance(t, float):
-                calls.append(table)
-            return call(table, t)
-
-        monkeypatch.setattr(_PiecewiseCheb, "__call__", counted)
+        monkeypatch.setattr(_PiecewiseCheb, "__call__",
+                            lambda table, t: calls.append(table) or call(table, t))
         levels, _ = _ladder(10, 1 / 10.3, 1.0, 1.0)
         assert len(levels) == 10
         assert calls == levels[1:-1]
@@ -194,6 +175,25 @@ class TestSlicedCubeIntegral:
         assert sliced_cube_integral(10**9, Interval(0.5, 1.0), 1.0,
                                     with_error=True) == (0.0, 0.0)
         assert time.perf_counter() - t0 < 0.01
+
+    @pytest.mark.parametrize("g, d, c, orders", [
+        (0.26, 0.31, 1.0, 3), (Fraction(2, 7), Fraction(1, 3), 1.0, 3),
+        (0.26, 0.31, math.inf, 6), (Fraction(2, 7), Fraction(1, 3), math.inf, 6),
+        (0.1, 0.9, math.inf, 6),
+    ])
+    def test_box_under_the_slice_builds_nothing(self, g, d, c, orders, count_builds):
+        # r*delta <= c: every order is ln(delta/gamma)^r, with no table, and
+        # the error estimate covers the distance to it at 40 digits
+        iv = Interval(g, d)
+        mg, md = (mpmath.mpf(Fraction(x).numerator) / Fraction(x).denominator for x in (g, d))
+        for r in range(1, orders + 1):
+            val, err = sliced_cube_integral(r, iv, c, with_error=True)
+            assert val.hex() == _box_moment(r, iv.g, iv.d).hex()
+            with mpmath.workdps(40):
+                assert err >= abs(val - mpmath.log(md / mg) ** r), r
+            if c == 1.0:
+                assert q_limit(r, iv).hex() == val.hex()
+        assert count_builds == []
 
     def test_infinite_slice_is_the_full_box(self):
         iv = Interval(0.3, 0.8)
@@ -335,6 +335,46 @@ class TestQRecurrence:
         with pytest.raises(DomainError):
             Q_recurrence(2, 1.5)
 
+    @pytest.mark.parametrize("k, g", [(3, 0.02), (4, 0.05), (4, 0.095), (6, 0.02)])
+    def test_piece_count_tracks_the_first_round(self, k, g, monkeypatch):
+        # the closed-form count against the pieces integrate_many starts with
+        pieces, run = [], limit_integrals.integrate_many
+
+        def counted(f, los, his, breakpoints):
+            pieces.append(sum(len(quadrature._pieces(a, b, bps))
+                              for a, b, bps in zip(los, his, breakpoints)))
+            return run(f, los, his, breakpoints=breakpoints)
+
+        monkeypatch.setattr(limit_integrals, "integrate_many", counted)
+        Q_recurrence(k, g)
+        assert sum(pieces) <= limit_integrals._recurrence_pieces(k, g) <= 1.25 * sum(pieces)
+
+    def test_oversized_is_refused_before_building(self):
+        # (3, 0.001) would start 16.4M GK15 pieces, one (16.4M, 15) array of
+        # nodes; (30, 0.005) ran for minutes
+        code = ("import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                "import time\n"
+                "from cyclewindow.errors import DomainError\n"
+                "from cyclewindow.limit_integrals import Q_recurrence, small_simplex_ratio\n"
+                "for k, g in [(3, 0.001), (3, 0.002), (20, 0.01), (30, 0.005), (2, 1e-9)]:\n"
+                "    for fn in (Q_recurrence, small_simplex_ratio):\n"
+                "        t0 = time.perf_counter()\n"
+                "        try:\n"
+                "            fn(k, g)\n"
+                "        except DomainError as e:\n"
+                "            assert 'over 250000 GK15 pieces' in str(e)\n"
+                "            assert time.perf_counter() - t0 < 1.0\n"
+                "        else:\n"
+                "            raise AssertionError((fn, k, g))\n"
+                "print('refused')\n")
+        env = dict(os.environ)
+        src = str(Path(limit_integrals.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.stdout.strip() == "refused", proc.stderr
+
 
 class TestSupportBound:
     def test_exact_fraction(self):
@@ -405,21 +445,24 @@ class TestPLimit:
                                       (1 / 8.3, 1 / 2.3), (0.26, 0.5)])
     @pytest.mark.parametrize("c", [1.0, 0.7, 0.45, 0.5 - 1e-14])
     def test_moments_read_the_tables_bits(self, g, d, c):
-        # orders below the top, and every order with m*delta <= c, have the
-        # bits of the full ladder read at c; the top order is integrated in
-        # place and agrees with the table within rounding
+        # order 1 is the log read at c; orders 2..r-1, and every order with
+        # m*delta <= c, have the bits of the end of the full ladder's table;
+        # the top order is integrated in place and agrees with the table
+        # within rounding
         r = support_bound(g)
         values, _ = _moments(r, g, d, c)
         levels, _ = _ladder(r, g, d, c)
         assert len(values) == len(levels)
         for m, (got, level) in enumerate(zip(values, levels), 1):
             want = float(level(c))
-            if m < r or c >= m * d - _BND_EPS:
-                assert got.hex() == want.hex(), (m, got, want)
-                if m * d <= c:
-                    assert got.hex() == _box_moment(m, g, d).hex()
+            if m == 1:
+                assert got.hex() == want.hex(), (got, want)
+            elif m < r or c >= m * d - _BND_EPS:
+                assert got.hex() == level.end().hex(), (m, got, level.end())
             else:
                 assert abs(got - want) <= 1e-18 + 1e-13 * abs(want), (m, got, want)
+            if m * d <= c:
+                assert got.hex() == _box_moment(m, g, d).hex()
 
     def test_third_to_half_truncates_support_at_two(self):
         # 3 * (1/3) = 1: three window cycles fit only on a null set, so the

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.chebyshev import Chebyshev, chebvander
 
 from cyclewindow.errors import DomainError, ToleranceNotMet
 from cyclewindow.quadrature import (
@@ -260,6 +260,16 @@ class TestIntegral:
         table = _PiecewiseCheb(bounds, _antiderivative(bounds, fn)[0], 0.0, None)
         scale = max(abs(table(b)) for b in bounds)
         assert abs(value - table(bounds[-1])) <= 4 * np.spacing(scale)
+
+    @pytest.mark.parametrize("name", sorted(_KINKED))
+    def test_end_is_the_value_at_the_last_bound(self, name):
+        # on antiderivative tables, the ones end() reads
+        bounds, fn = _KINKED[name]
+        coef = _antiderivative(bounds, fn)[0]
+        want = float(Chebyshev(coef[-1], domain=bounds[-2:])(bounds[-1]))
+        got = _PiecewiseCheb(bounds, coef, None, None).end()
+        assert abs(got - want) <= 4 * np.spacing(abs(want)), (got, want)
+        assert _PiecewiseCheb(bounds, coef, None, 2.5).end() == 2.5
 
     @pytest.mark.parametrize("name", ["sqrt", "cos"])
     def test_tail_matches_the_summed_table_tails(self, name):

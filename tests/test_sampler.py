@@ -249,18 +249,19 @@ class TestEstimatePmf:
         assert len(searches) <= 1
 
     def test_partition_check_survives_python_dash_o(self):
-        # Every walk starts its running total at 1 instead of 0, so no walk sums to n.
+        # An inversion that always answers the last position stops descending
+        # after one step, so without the check the walk would never end.
         code = ("import numpy as np\n"
+                "from cyclewindow import sampler\n"
                 "from cyclewindow.limit_integrals import Interval\n"
-                "from cyclewindow.sampler import estimate_pmf\n"
-                "np.zeros_like = np.ones_like\n"
-                "estimate_pmf(50, Interval(0.25, 0.5), 1.0, 100, seed=0)\n")
+                "sampler._hazard_inverse = lambda h: lambda x: np.full(len(x), len(h) - 1)\n"
+                "sampler.estimate_pmf(50, Interval(0.25, 0.5), 1.0, 100, seed=0)\n")
         src = str(Path(sampler.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-O", "-c", code],
                               capture_output=True, text=True, env=env, timeout=60)
-        assert "RuntimeError: Feller walk: cycle lengths do not sum to n" in proc.stderr
+        assert "RuntimeError: Feller walk: a step did not move down" in proc.stderr
 
     def test_bit_identical_reruns(self):
         a = estimate_pmf(200, Interval(0.25, 0.5), 1.0, 5_000, seed=4242)
