@@ -155,7 +155,7 @@ def sliced_cube_integral(r, iv: Interval, c, with_error=False):
     if r > 0 and r * iv.g < c - _BND_EPS:
         values, tail = _moments(r, iv.g, iv.d, c)
         val, nodes = values[-1], 4 * min(c, r * iv.d) / iv.g * sum(map(abs, values[:-1]))
-        err = tail + np.finfo(float).eps * (8 * r * abs(val) + nodes)
+        err = tail + math.ulp(1.0) * (8 * r * abs(val) + nodes)
     return (val, err) if with_error else val
 
 

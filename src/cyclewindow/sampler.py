@@ -75,34 +75,6 @@ class EstimateResult:
         return math.sqrt(max(var, 0.0) / self.samples)
 
 
-class _Fenwick:
-    """Prefix-sum tree over integer weights with O(log n) weighted selection."""
-
-    def __init__(self, cap):
-        size = 1
-        while size < cap:
-            size <<= 1
-        self.size = size
-        self.tree = [0] * (size + 1)
-
-    def add(self, i, v):
-        i += 1
-        while i <= self.size:
-            self.tree[i] += v
-            i += i & (-i)
-
-    def search(self, pos):
-        # smallest 0-based index whose inclusive prefix sum exceeds pos
-        idx, bit = 0, self.size
-        while bit:
-            nxt = idx + bit
-            if nxt <= self.size and self.tree[nxt] <= pos:
-                pos -= self.tree[nxt]
-                idx = nxt
-            bit >>= 1
-        return idx
-
-
 def sample_cycle_lengths(n, sigma, gen):
     """One cycle type of an Ewens(sigma) permutation of [n]; sigma=1 is uniform.
 
@@ -110,7 +82,7 @@ def sample_cycle_lengths(n, sigma, gen):
     element has length uniform on {1..m} when m elements remain.  Otherwise:
     Chinese restaurant, element j+1 opens a new cycle with probability
     sigma/(sigma+j), else joins an existing cycle with probability
-    proportional to its current length (Fenwick-tree selection).
+    proportional to its current length.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -124,16 +96,15 @@ def sample_cycle_lengths(n, sigma, gen):
             lengths.append(length)
             m -= length
         return CycleLengths(tuple(lengths), n)
-    tree = _Fenwick(n)
-    sizes = []
+    seat, sizes = [], []  # seat[i]: the cycle of element i
     for j in range(n):
         if j == 0 or gen.random() * (sigma + j) < sigma:
-            tree.add(len(sizes), 1)
+            seat.append(len(sizes))
             sizes.append(1)
         else:
             # a table weighted by size = a uniformly chosen seated element
-            t = tree.search(int(gen.integers(0, j)))
-            tree.add(t, 1)
+            t = seat[int(gen.integers(0, j))]
+            seat.append(t)
             sizes[t] += 1
     return CycleLengths(tuple(sizes), n)
 

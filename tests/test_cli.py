@@ -355,13 +355,17 @@ class TestExitCodes:
         assert out.splitlines()[0] == "i,pmf"
 
 
-@pytest.mark.parametrize("module", ["cyclewindow", "cyclewindow.cli"])
-def test_python_dash_m_runs_the_cli(module):
+def _package_env():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("module", ["cyclewindow", "cyclewindow.cli"])
+def test_python_dash_m_runs_the_cli(module):
     proc = subprocess.run([sys.executable, "-m", module, "gamma-star", "--json"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_package_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)["results"]["gamma_star"]
     assert got == pytest.approx(1.0 / (1.0 + math.exp(0.5)), abs=1e-12)
@@ -383,3 +387,19 @@ def test_readme_cli_block_matches_the_subcommand_table(capsys):
         assert rc == 0, (argv, err)
         declared = [opt.replace("-", "_") for opt in cli.SUBCOMMANDS[argv[0]][1]]
         assert list(json.loads(out)["params"]) == [k for k in declared if k != "seed"]
+
+
+def test_readme_cli_block_prints_plain_numbers(capsys):
+    # the table format prints floats by repr, so a numpy scalar would show
+    # as np.float64(...) under numpy 2
+    for argv in _readme_cli_commands():
+        rc, out, err = run_capture(capsys, *(a for a in argv if a != "--json"))
+        assert rc == 0, (argv, err)
+        assert "np.float64(" not in out, argv
+
+
+def test_import_raises_no_warning():
+    # the rule is built at import; a deprecation warning there fails the import
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", "import cyclewindow"],
+                          capture_output=True, text=True, env=_package_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -169,6 +169,14 @@ class TestSlicedCubeIntegral:
         assert 0 <= err < 1e-9
         assert val == pytest.approx(q_limit(2, Interval(0.3, 0.8)), abs=0)
 
+    @pytest.mark.parametrize("r, c", [
+        (2, 1.0), (3, 1.0), (2, math.inf),  # r*gamma < c: the moments are read
+        (3, 0.9), (4, 1.0), (0, 1.0),  # r*gamma >= c or r = 0: nothing is read
+    ])
+    def test_value_and_error_are_python_floats(self, r, c):
+        val, err = sliced_cube_integral(r, Interval(0.3, 0.8), c, with_error=True)
+        assert type(val) is float and type(err) is float
+
     def test_huge_order_above_the_slice_is_zero(self):
         # every order with r*gamma >= c vanishes; no level is built for it
         t0 = time.perf_counter()

@@ -4,6 +4,7 @@ import inspect
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import Chebyshev, chebvander
@@ -47,6 +48,37 @@ class TestRuleConstruction:
             got = math.fsum(
                 w * x**deg for x, w in zip(GK15_NODES, GK15_GAUSS_WEIGHTS))
             assert abs(got - want) < 5e-15
+
+    def test_matches_a_40_digit_construction(self):
+        # the same G7-K15 pair by another route: monomial E_8, mpmath roots
+        nodes, w_kron, w_gauss = _gk15_reference()
+        assert max(abs(mpmath.mpf(a) - b) for a, b in zip(GK15_NODES, nodes)) < 3e-16
+        assert max(abs(mpmath.mpf(a) - b) for a, b in zip(GK15_WEIGHTS, w_kron)) < 1e-15
+        assert max(abs(mpmath.mpf(a) - b) for a, b in zip(GK15_GAUSS_WEIGHTS, w_gauss)) < 1e-15
+
+
+def _gk15_reference():
+    """Sorted nodes, Kronrod weights and Gauss weights of (G7, K15) at 40 digits.
+
+    E_8 = x^8 + c_6 x^6 + c_4 x^4 + c_2 x^2 + c_0 with the integral of
+    E_8 P_7 x^k zero for k = 1, 3, 5, 7; its roots come from the quartic in
+    x^2.  Gauss weights are 2/((1 - x^2) P_7'(x)^2).
+    """
+    with mpmath.workdps(40):
+        p7 = lambda t: mpmath.legendre(7, t)
+        moment = lambda q: mpmath.quad(lambda t: p7(t) * t**q, [-1, 1], method="gauss-legendre")
+        a = mpmath.matrix([[moment(p + k) for p in (0, 2, 4, 6)] for k in (1, 3, 5, 7)])
+        c0, c2, c4, c6 = mpmath.lu_solve(a, mpmath.matrix([-moment(8 + k) for k in (1, 3, 5, 7)]))
+        ys = mpmath.polyroots([1, c6, c4, c2, c0], maxsteps=100, extraprec=100)
+        kron_only = [s * mpmath.sqrt(mpmath.re(y)) for y in ys for s in (-1, 1)]
+        # Newton from the asymptotic guesses cos(pi (4i - 1)/(4n + 2)), i = 1..n
+        gauss = [mpmath.findroot(p7, math.cos(math.pi * (4 * i - 1) / 30), solver="newton")
+                 for i in range(1, 8)]
+        nodes = sorted(kron_only + gauss)
+        vander = mpmath.matrix([[mpmath.legendre(j, x) for x in nodes] for j in range(15)])
+        w_kron = mpmath.lu_solve(vander, mpmath.matrix([2] + [0] * 14))
+        w_gauss = [2 / ((1 - x**2) * mpmath.diff(p7, x) ** 2) if x in gauss else 0 for x in nodes]
+        return nodes, list(w_kron), w_gauss
 
 
 # A step at x = 1/3 with no breakpoint cannot meet tol 1e-15 by MAX_DEPTH.
