@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check."""
+
+from numbers import Integral
 
 
 class DomainError(ValueError):
@@ -26,3 +28,10 @@ class ToleranceNotMet(RuntimeError):
         self.value = value
         self.achieved = achieved
         self.requested = requested
+
+
+def require_int(**values):
+    """Raise DomainError naming the first of values that is not an integer."""
+    for name, x in values.items():
+        if not isinstance(x, Integral):
+            raise DomainError(f"{name} must be an integer, got {x!r}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .limit_integrals import Interval
 from .quasi_poisson import Pmf
 
@@ -49,6 +49,7 @@ class IntWindow:
     b: int
 
     def __post_init__(self):
+        require_int(a=self.a, b=self.b)
         if not 1 <= self.a <= self.b:
             raise DomainError(f"window needs 1 <= a <= b, got [{self.a}, {self.b}]")
 
@@ -73,6 +74,7 @@ def normalized_window(n, gamma, delta):
     hit, so downstream code uniformly produces a point mass at 0.  The
     endpoints must pass Interval: finite, with 0 < gamma < delta <= 1.
     """
+    require_int(n=n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     Interval(gamma, delta)
@@ -127,6 +129,7 @@ def exact_pmf(n, w: IntWindow, rational=None):
     of permutations with i cycles in the window.  A table that would exceed
     DP_TABLE_MAX_BYTES is refused with DomainError rather than allocated.
     """
+    require_int(n=n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if rational is None:
@@ -186,6 +189,7 @@ def _partitions(n, max_part):
 
 def brute_force_pmf(n, w: IntWindow):
     """Exact pmf by enumerating cycle types of S_n; test oracle, n <= 9 only."""
+    require_int(n=n)
     if not 1 <= n <= 9:
         raise DomainError(f"brute force capped at n <= 9, got {n}")
     counts = {}
@@ -213,6 +217,7 @@ def exact_falling_moment(n, w: IntWindow, r):
     integers over the common denominator d**j, d = lcm of the window lengths.
     A call over MOMENT_MAX_WORK is refused with DomainError before it starts.
     """
+    require_int(n=n, r=r)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if r < 0:

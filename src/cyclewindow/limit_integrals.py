@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .quadrature import (
     _BND_EPS, _antiderivative, _dedupe, _integral, _interp_pieces, _PiecewiseCheb,
     integrate, integrate_many,
@@ -92,8 +92,8 @@ def _layout(m, g, d, top, below):
 def _ladder(r, g, d, top):
     """(levels, tails): the tables of orders 1..r up to the slice top, and errors.
 
-    Level m reads I_m(c) at any c <= top; tails[m-1] sums (b-a)(|c_31|+|c_32|)
-    of every integrand piece up to level m.  Level 1 is ln(c/gamma) clipped to
+    Level m reads I_m(c) at any c <= top; tails[m-1] sums the tails of every
+    _antiderivative up to level m.  Level 1 is ln(c/gamma) clipped to
     the window, not a table; above m*delta a table reads _box_moment.  The
     lists stop at the last order with m*gamma < top - _BND_EPS, as every order
     above it is 0.
@@ -149,6 +149,7 @@ def sliced_cube_integral(r, iv: Interval, c, with_error=False):
     most scale = min(c, r*delta), and 4*I_{m-1}(c)/gamma bounds the total
     variation of level m's integrand.
     """
+    require_int(r=r)
     if r < 0 or not (c > 0 or r == 0 and c >= 0):
         raise DomainError(f"need r >= 0 and c > 0 (c >= 0 if r = 0), got r={r}, c={c}")
     val, err = (1.0 if r == 0 else 0.0), 0.0

@@ -22,13 +22,13 @@ halving cannot reduce rounding noise.  A non-finite panel estimate, or more
 than MAX_LIVE_PANELS live panels in one integral, raises ToleranceNotMet
 rather than refining on to MAX_DEPTH.
 
-_PiecewiseCheb holds degree-32 Chebyshev interpolants on consecutive pieces
-and evaluates them on arrays, a scalar giving a 0-d array; end() is the value
-at the last bound, the last piece's coefficient sum, as every T_k is 1 at +1.
+_PiecewiseCheb holds Chebyshev series on consecutive pieces and evaluates
+them on arrays, a scalar giving a 0-d array; end() is the value at the last
+bound, the last piece's coefficient sum, as every T_k is 1 at +1.
 _antiderivative integrates a function on every piece at once, with one matrix
-product and one cumsum: the method of steps for delay equations (Bellman and
-Cooke, Differential-Difference Equations, 1963) behind the limit ladder and
-the Buchstab function.
+product and one cumsum, chopping columns below rounding: the method of steps
+for delay equations (Bellman and Cooke, Differential-Difference Equations,
+1963) behind the limit ladder and the Buchstab function.
 _integral gives only the total, with no table: on the same nodes, Fejer's
 first rule (Fejer, 1933; Trefethen, SIAM Review 50, 2008) is one product
 with a fixed matrix.
@@ -45,7 +45,8 @@ from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
 from .errors import DomainError, ToleranceNotMet
 
 MAX_DEPTH = 40  # a panel this deep is accepted whatever its error estimate
-_FLOOR = 50 * np.finfo(float).eps  # GK15 rounding floor, relative to |value|
+_EPS = np.finfo(float).eps
+_FLOOR = 50 * _EPS  # GK15 rounding floor, relative to |value|
 
 
 def _build_gk15():
@@ -364,16 +365,24 @@ def _interp_pieces(bounds, fn):
 def _antiderivative(bounds, fn, start=0.0):
     """Running integral F of fn over the pieces of bounds, F(bounds[0]) = start.
 
-    Returns (coef, tail): F's Chebyshev coefficients, one row of degree 33
-    per piece, and per piece (b - a)(|c_31| + |c_32|) from the last two
-    coefficients of fn's interpolant, an estimate of the error it adds to F.
+    Returns (coef, tail): F's Chebyshev coefficients, one row per piece, and
+    per piece (b - a)(|c_31| + |c_32|) from the last two coefficients of fn's
+    interpolant, an estimate of the error it adds to F.  The rows are chopped
+    (Aurentz and Trefethen, ACM TOMS 43, 2017) to one degree from 1 to 33:
+    with columns weighed by their largest |coefficient|, a column goes when
+    it and all above it weigh at most eps times all columns.  Every piece's
+    tail adds the chopped weight, a bound on the change, as |T_k| <= 1.
     """
     coef = _interp_pieces(bounds, fn)
     width = np.diff(np.asarray(bounds, dtype=float))
     anti = coef @ _CHEB_INTEG * (0.5 * width)[:, None]
     rise = anti.sum(axis=1)  # F's rise over each piece: every T_k is 1 at +1
     anti[:, 0] += start + np.concatenate(([0.0], np.cumsum(rise[:-1])))
-    return anti, width * np.abs(coef[:, -2:]).sum(axis=1)
+    # mass[j]: the sum of the last j + 1 columns' largest |coefficient|
+    mass = np.abs(anti).max(axis=0)[::-1].cumsum()
+    drop = min(int(np.count_nonzero(mass <= _EPS * mass[-1])), mass.size - 2)
+    chopped = mass[drop - 1] if drop else 0.0
+    return anti[:, :mass.size - drop], width * np.abs(coef[:, -2:]).sum(axis=1) + chopped
 
 
 def _integral(bounds, fn):
@@ -381,7 +390,7 @@ def _integral(bounds, fn):
 
     fn is sampled on _interp_pieces's nodes, and one product with _CHEB_QUAD
     gives each piece's interpolant integral and its c_31 and c_32; tail sums
-    the per-piece terms _antiderivative returns.
+    _antiderivative's per-piece (b - a)(|c_31| + |c_32|), with no chop.
     """
     b = np.asarray(bounds, dtype=float)
     nodes = _nodes(b)

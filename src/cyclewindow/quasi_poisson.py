@@ -22,7 +22,8 @@ INVERSION_MAX_ORDER = 2000  # the O(r^2) moment inversion takes about 1 s there
 
 
 def _is_exact(x):
-    return isinstance(x, Rational) and not isinstance(x, float)
+    # the float test first: the Rational ABC check costs several times more
+    return not isinstance(x, float) and isinstance(x, Rational)
 
 
 @dataclass(frozen=True)

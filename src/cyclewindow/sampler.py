@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .exact_finite import DP_TABLE_MAX_BYTES, normalized_window
 from .limit_integrals import Interval
 
@@ -158,6 +158,7 @@ def estimate_pmf(n, iv: Interval, sigma, samples, seed):
 
     Deterministic for fixed (seed, samples); see the module notes for the stream.
     """
+    require_int(n=n, samples=samples, seed=seed)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if not 0 < sigma < math.inf:

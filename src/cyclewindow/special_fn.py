@@ -86,6 +86,9 @@ def _buchstab_table():
                                   prev.end())
         prev = _PiecewiseCheb([m, m + 1.0], coef, None, None)
         rows.append(coef[0])
+    # chopped rows differ in length; trailing zeros leave Clenshaw's bits as they are
+    width = max(map(len, rows))
+    rows = [list(row) + [0.0] * (width - len(row)) for row in rows]
     return _PiecewiseCheb(range(2, int(_U_CLAMP) + 1), rows, None, None)
 
 

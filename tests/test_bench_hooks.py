@@ -59,6 +59,22 @@ def test_finite_n_monte_carlo_checks_pass(seed):
         assert op.check(op.call()) is None, (seed, op.name)
 
 
+@pytest.mark.parametrize("workload", ["limit-deep", "limit-sweep"])
+def test_limit_workload_checks_pass(workload):
+    # every operation of the workload, whatever its function, against its own
+    # check and its reference at its ref_tol (REF_TOL but for argmax_p's
+    # abscissa), as the benchmark's first pass checks it: a change to the
+    # level tables that moves an output past that gate fails here first
+    workloads = _load("workloads")
+    reference = workloads.load_reference(workload)
+    ops = workloads.WORKLOADS[workload](workloads.DEFAULT_SEED).ops
+    assert {op.name for op in ops} == set(reference)
+    for op in ops:
+        out = op.call()
+        assert op.check(out) is None, op.name
+        assert workloads.compare_reference(out, reference[op.name], op.ref_tol) is None, op.name
+
+
 def test_limit_sweep_figure_and_argmax_checks_pass():
     # the figure and argmax_p against their independent checks (q2 closed
     # form, gamma_star) and against the values recorded in reference.json

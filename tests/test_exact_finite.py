@@ -4,6 +4,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cyclewindow.errors import DomainError
@@ -264,3 +265,34 @@ class TestNormalizedWindow:
     def test_refuses_what_interval_refuses(self, gamma, delta):
         with pytest.raises(DomainError):
             normalized_window(10, gamma, delta)
+
+
+class TestNonIntegerArguments:
+    # a float size or order was taken as a bound (IntWindow(1.5, 3) gave the
+    # law of [2, 3] by brute force) or failed with TypeError deep inside
+    @pytest.mark.parametrize("a, b", [(1.5, 3), (2, 3.5), (2.0, 3), (Fraction(2), 3)])
+    def test_int_window(self, a, b):
+        with pytest.raises(DomainError, match="must be an integer"):
+            IntWindow(a, b)
+
+    def test_normalized_window(self):
+        with pytest.raises(DomainError, match="n must be an integer, got 10.5"):
+            normalized_window(10.5, 1 / 4, 1 / 2)
+
+    def test_exact_falling_moment(self):
+        with pytest.raises(DomainError, match="r must be an integer, got 2.5"):
+            exact_falling_moment(10, IntWindow(2, 5), 2.5)
+        with pytest.raises(DomainError, match="n must be an integer, got 10.5"):
+            exact_falling_moment(10.5, IntWindow(2, 5), 2)
+
+    def test_exact_and_brute_force_pmf(self):
+        with pytest.raises(DomainError, match="n must be an integer, got 5.5"):
+            exact_pmf(5.5, IntWindow(2, 3))
+        with pytest.raises(DomainError, match="n must be an integer, got 5.5"):
+            brute_force_pmf(5.5, IntWindow(2, 3))
+
+    def test_numpy_integers_are_accepted(self):
+        w = IntWindow(np.int64(2), np.int32(3))
+        assert exact_pmf(np.int64(5), w) == brute_force_pmf(5, IntWindow(2, 3))
+        assert normalized_window(np.int64(10), 0.25, 0.5) == IntWindow(3, 5)
+        assert exact_falling_moment(10, w, np.int64(2)) == exact_falling_moment(10, w, 2)

@@ -108,6 +108,72 @@ class TestPiecewiseCheb:
         assert np.shape(table(0.7)) == ()  # a scalar gives a 0-d array
 
 
+# windows like limit-deep's (1/(20+u), 1/(10+u)), (1/(10+u), 1], (1/(8+u), 1/(2+u))
+_DEEP = [(1 / 20.3, 1 / 10.4), (1 / 10.3, 1.0), (1 / 8.3, 1 / 2.4)]
+
+
+def _level_builds(g, d):
+    """(m, bounds, integrand) of every table p_limit((g, d)) builds, from its own levels."""
+    r = support_bound(g)
+    levels, _ = _ladder(r - 1, g, d, 1.0)
+    return [(m,) + limit_integrals._layout(m, g, d, 1.0, levels[m - 2])
+            for m in range(2, len(levels) + 1)]
+
+
+def _unchopped(bounds, fn):
+    """_antiderivative's (coef, tail) with all 34 columns kept, rebuilt step by step."""
+    coef = _interp_pieces(bounds, fn)
+    width = np.diff(np.asarray(bounds, dtype=float))
+    anti = coef @ quadrature._CHEB_INTEG * (0.5 * width)[:, None]
+    rise = anti.sum(axis=1)
+    anti[:, 0] += np.concatenate(([0.0], np.cumsum(rise[:-1])))
+    return anti, width * np.abs(coef[:, -2:]).sum(axis=1)
+
+
+class TestChoppedLevels:
+    @pytest.mark.parametrize("g, d", _DEEP)
+    def test_stored_rows_are_bit_identical_to_numpy(self, g, d):
+        # a chopped level reads the stored, shorter rows as numpy would
+        m, bounds, fn = _level_builds(g, d)[2]
+        coef, _ = quadrature._antiderivative(bounds, fn)
+        assert coef.shape[1] < 34
+        table = _PiecewiseCheb(bounds, coef, left=0.0, right=None)
+        rng = np.random.default_rng(20260815)
+        for a, b, cheb in zip(bounds, bounds[1:], _chebs(bounds, coef)):
+            ts = rng.uniform(a, b, 2000)
+            assert [v.hex() for v in table(ts).tolist()] == \
+                [float(cheb(t)).hex() for t in ts.tolist()], (m, a, b)
+
+    @pytest.mark.parametrize("g, d", _DEEP)
+    def test_change_is_within_the_mass_added_to_the_tail(self, g, d):
+        rng = np.random.default_rng(20260815)
+        for m, bounds, fn in _level_builds(g, d):
+            coef, tail = quadrature._antiderivative(bounds, fn)
+            full, full_tail = _unchopped(bounds, fn)
+            keep = coef.shape[1]
+            assert coef.tobytes() == full[:, :keep].tobytes(), m
+            added = tail - full_tail
+            # the dropped terms of each piece, |T_k| <= 1, bound its change
+            dropped = np.abs(full[:, keep:]).sum(axis=1)
+            assert np.all(dropped <= added * (1 + 1e-9)), m
+            ts = np.concatenate([rng.uniform(a, b, 2000) for a, b in zip(bounds, bounds[1:])])
+            want = _PiecewiseCheb(bounds, full, 0.0, None)(ts)
+            got = _PiecewiseCheb(bounds, coef, 0.0, None)(ts)
+            # plus the two Clenshaw runs' own rounding, a few ulps of the table
+            rounding = 4 * np.spacing(np.abs(want).max())
+            assert np.all(np.abs(got - want) <= added.max() + rounding), m
+
+    @pytest.mark.parametrize("g, d", _DEEP[1:])
+    def test_deep_windows_store_at_most_24_rows(self, g, d):
+        # about 16 to 22 of the 34 columns stand above rounding there
+        for m, bounds, fn in _level_builds(g, d):
+            assert quadrature._antiderivative(bounds, fn)[0].shape[1] <= 24, m
+
+    def test_keeps_two_columns_of_a_zero_table(self):
+        coef, tail = quadrature._antiderivative([0.0, 0.5, 1.0], np.zeros_like)
+        assert coef.shape == (2, 2) and not coef.any() and not tail.any()
+
+
 class TestSlicedCubeIntegral:
     def test_r0(self):
         assert sliced_cube_integral(0, Interval(0.3, 0.8), 1.0) == 1.0
@@ -162,6 +228,10 @@ class TestSlicedCubeIntegral:
                     want = triangle[mg] if mg + md >= 1 else log(md / mg) ** 2 - corner[md]
                     val, err = sliced_cube_integral(2, Interval(g, d), 1.0, with_error=True)
                     assert abs(val - want) <= err, (g, d)
+
+    def test_non_integer_order_refused(self):
+        with pytest.raises(DomainError, match="r must be an integer, got 2.5"):
+            sliced_cube_integral(2.5, Interval(0.3, 0.8), 1.0)
 
     def test_error_estimate_returned(self):
         val, err = sliced_cube_integral(2, Interval(0.3, 0.8), 1.0,

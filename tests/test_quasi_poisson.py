@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from cyclewindow.errors import DomainError, InvalidMomentsError
 from cyclewindow.limit_integrals import _ladder
 from cyclewindow.quasi_poisson import (
-    MomentVector, Pmf, binomial_matrices, falling_moment,
+    MomentVector, Pmf, _is_exact, binomial_matrices, falling_moment,
     pmf_from_falling_moments, qp_pmf,
 )
 
@@ -243,3 +244,12 @@ class TestPmfType:
         b = Pmf((0.5, 0.25, 0.25))
         assert abs(a.total_variation(b) - 0.5) < 1e-15
         assert a.total_variation(a) == 0.0
+
+
+@pytest.mark.parametrize("x, exact", [
+    (0.5, False), (np.float64(0.5), False), (2.0, False),
+    (3, True), (np.int64(3), True), (Fraction(1, 3), True), (True, True),
+])
+def test_is_exact_truth_table(x, exact):
+    # floats are answered before the slower Rational ABC check
+    assert _is_exact(x) is exact

@@ -292,6 +292,14 @@ class TestEstimatePmf:
             estimate_pmf(10, iv, 1.0, 100, seed=-1)
 
 
+    @pytest.mark.parametrize("n, samples, seed, name", [
+        (100.5, 10, 1, "n"), (100, 10.5, 1, "samples"), (100, 10, 1.5, "seed"),
+    ])
+    def test_non_integer_arguments_refused(self, n, samples, seed, name):
+        # these failed with TypeError from inside numpy, or not at all
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            estimate_pmf(n, Interval(0.25, 0.5), 1.0, samples, seed)
+
     @pytest.mark.parametrize("sigma", [math.inf, math.nan])
     def test_non_finite_sigma_refused(self, sigma):
         with pytest.raises(DomainError):

@@ -5,13 +5,15 @@ import threading
 import time
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import Chebyshev
 
 from cyclewindow.errors import DomainError
 from cyclewindow.special_fn import (
-    RealInterval, buchstab, buchstab_max_residual, dilog,
+    RealInterval, _buchstab_table, buchstab, buchstab_max_residual, dilog,
 )
 
 PI2_6 = math.pi**2 / 6
@@ -98,6 +100,19 @@ class TestBuchstab:
     def test_residual_domain(self):
         with pytest.raises(DomainError):
             buchstab_max_residual(RealInterval(1.0, 3.0), 5)
+
+    def test_padded_rows_read_as_their_chopped_pieces(self):
+        # the unit pieces are chopped to different lengths and zero-padded to
+        # one width; a padded row reads bit for bit as its unpadded series
+        table = _buchstab_table()
+        rows = table.coef[::-1].T  # lowest degree first, one row per piece
+        lengths = {len(np.trim_zeros(row, "b")) for row in rows}
+        assert len(lengths) > 1 and max(lengths) < 34
+        rng = np.random.default_rng(20260815)
+        for m, row in zip(range(2, 30), rows):
+            cheb = Chebyshev(np.trim_zeros(row, "b"), domain=[m, m + 1])
+            for u in rng.uniform(m, m + 1, 50).tolist():
+                assert float(table(u)).hex() == float(cheb(u)).hex(), u
 
     def test_concurrent_table_growth(self):
         # hammer the table from several threads; every thread must see
