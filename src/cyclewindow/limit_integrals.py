@@ -78,15 +78,39 @@ def _box_moment(m, g, d):
     return float(np.log(d / g)) if m == 1 else math.log(d / g) ** m
 
 
-def _layout(m, g, d, top, below):
-    """(bounds, integrand) of level m >= 2 up to top; below reads level m - 1."""
+def _layout(m, g, d, top, below, cuts=()):
+    """(bounds, integrand) of level m >= 1 up to top, also cut at cuts; below reads level m - 1."""
     lo, hi = m * g, min(m * d, top)
     kinks = [a * g + (m - a) * d for a in range(m)]
     graded = [lo + g * 2.0 ** i for i in range(int((hi - lo) / g).bit_length())]
-    bounds = _dedupe([lo, hi] + [p for p in kinks + graded if lo < p < hi])
+    bounds = _dedupe([lo, hi] + [p for p in kinks + graded + list(cuts) if lo < p < hi])
+    if m == 1:
+        return bounds, np.reciprocal
     # one call reads the level below at both shifts
     return bounds, lambda s: m * np.subtract(
         *below(np.concatenate((s - g, s - d))).reshape(2, -1)) / s
+
+
+def _kernel_pair(m, g, d, top, below):
+    """([I_m(top), I_{m+1}(top)], tail) from one read of level m's integrand f.
+
+    Swapping the order of integration in I_{m+1}(c) = int (m+1)/s [I_m(s-gamma)
+    - I_m(s-delta)] ds gives (m+1) int f(t) K_c(t) dt on level m's layout, with
+    K_c(t) = ln(min(t+delta, c)/min(t+gamma, c)) >= 0 kinked at c - delta and
+    c - gamma, and 0 above c - gamma.  I_m is int f, or _box_moment when known,
+    and then f*K_c alone is integrated, up to c - gamma, or nothing if I_{m+1} = 0.
+    """
+    known = [_box_moment(m, g, min(d, top))] if m == 1 or top >= m * d - _BND_EPS else []
+    if known and (m + 1) * g >= top - _BND_EPS:
+        return known, 0.0
+    bounds, f = _layout(m, g, d, top - g if known else top, below, (top - d, top - g))
+
+    def stack(t):
+        y = f(t)
+        upper = (m + 1) * y * np.log(np.minimum(t + d, top) / np.minimum(t + g, top))
+        return upper if known else np.concatenate((y, upper))
+    values, tail = _integral(bounds, stack)
+    return known + values, tail
 
 
 def _ladder(r, g, d, top):
@@ -119,22 +143,22 @@ def _moments(r, g, d, top):
     Raises DomainError first when an order above LADDER_MAX_ORDER can be
     nonzero.  When r*delta <= top the box lies under the slice: every order is
     _box_moment, the tail 0, and nothing is built.  Otherwise order 1 is
-    _box_moment at min(delta, top), orders 2..r-1 are the ends of _ladder's
-    tables, and order r is integrated in place by _integral, with no table;
-    values stops where _ladder's lists would.
+    _box_moment at min(delta, top), orders 2..r-2 are the ends of _ladder's
+    tables, and orders r-1 and r come from _kernel_pair on level r-1's
+    integrand, with no table; values stops where _ladder's lists would.
     """
     if min(r, top / g) > LADDER_MAX_ORDER:
         raise DomainError(f"window ({g!r}, {d!r}) needs sliced moments past the "
                           f"ladder's order cap {LADDER_MAX_ORDER}; they can overflow float64")
     if top >= r * d - _BND_EPS:
         return [_box_moment(m, g, d) for m in range(1, r + 1)], 0.0
-    levels, tails = _ladder(max(r - 1, 1), g, d, top)
+    levels, tails = _ladder(max(r - 2, 1), g, d, top)
     values = [_box_moment(1, g, min(d, top))][:len(levels)]
     values += [level.end() for level in levels[1:]]
     tail = sum(tails[-1:])
-    if r > 1 and r * g < top - _BND_EPS:
-        value, more = _integral(*_layout(r, g, d, top, levels[-1]))
-        values.append(value)
+    if r > 1 and (r - 1) * g < top - _BND_EPS:
+        pair, more = _kernel_pair(r - 1, g, d, top, levels[-1])
+        values[r - 2:] = pair if r * g < top - _BND_EPS else pair[:1]
         tail += more
     return values, tail
 
@@ -145,9 +169,12 @@ def sliced_cube_integral(r, iv: Interval, c, with_error=False):
     Exactly 0, before any level is built, when r*gamma >= c (the region is
     empty or degenerate); 1 when r = 0.  Otherwise order r of _moments.
     with_error also returns its error terms, plus eps times 8*r*|value| and,
-    for node rounding, scale*4*I_{m-1}(c)/gamma per level m: every node is at
-    most scale = min(c, r*delta), and 4*I_{m-1}(c)/gamma bounds the total
-    variation of level m's integrand.
+    for node rounding, scale = min(c, r*delta), which bounds every node, times
+    each integrand's total variation.  Level m's integrand f_m, 2 <= m < r,
+    varies by at most 4*I_{m-1}(c)/gamma and never exceeds I_{m-1}(c)/gamma;
+    K_c falls from at most L = ln(delta/gamma) to 0, so order r's
+    r*f_{r-1}*K_c varies by at most 5*r*L*I_{r-2}(c)/gamma, with I_0 = 1 (no
+    term at r = 1, a closed form).
     """
     require_int(r=r)
     if r < 0 or not (c > 0 or r == 0 and c >= 0):
@@ -155,8 +182,9 @@ def sliced_cube_integral(r, iv: Interval, c, with_error=False):
     val, err = (1.0 if r == 0 else 0.0), 0.0
     if r > 0 and r * iv.g < c - _BND_EPS:
         values, tail = _moments(r, iv.g, iv.d, c)
-        val, nodes = values[-1], 4 * min(c, r * iv.d) / iv.g * sum(map(abs, values[:-1]))
-        err = tail + math.ulp(1.0) * (8 * r * abs(val) + nodes)
+        val, low = values[-1], ([0.0, 1.0] + values)[-3]  # I_{r-2}: 1 at r = 2, 0 at r = 1
+        variation = 4 * sum(map(abs, values[:-2])) + 5 * r * math.log(iv.d / iv.g) * abs(low)
+        err = tail + math.ulp(1.0) * (8 * r * abs(val) + min(c, r * iv.d) / iv.g * variation)
     return (val, err) if with_error else val
 
 

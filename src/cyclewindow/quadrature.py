@@ -29,9 +29,9 @@ _antiderivative integrates a function on every piece at once, with one matrix
 product and one cumsum, chopping columns below rounding: the method of steps
 for delay equations (Bellman and Cooke, Differential-Difference Equations,
 1963) behind the limit ladder and the Buchstab function.
-_integral gives only the total, with no table: on the same nodes, Fejer's
+_integral gives only totals, with no table: on the same nodes, Fejer's
 first rule (Fejer, 1933; Trefethen, SIAM Review 50, 2008) is one product
-with a fixed matrix.
+with a fixed matrix, for a stack of integrands read in one call.
 """
 
 from __future__ import annotations
@@ -386,16 +386,17 @@ def _antiderivative(bounds, fn, start=0.0):
 
 
 def _integral(bounds, fn):
-    """(value, tail): the integral of fn over the pieces of bounds, with no table.
+    """(values, tail): the integrals of k integrands over the pieces of bounds, no table.
 
-    fn is sampled on _interp_pieces's nodes, and one product with _CHEB_QUAD
-    gives each piece's interpolant integral and its c_31 and c_32; tail sums
-    _antiderivative's per-piece (b - a)(|c_31| + |c_32|), with no chop.
+    fn maps the flat array of _interp_pieces's nodes to the k integrands'
+    values there, one after another, and one product with _CHEB_QUAD gives
+    each piece's interpolant integrals and their c_31 and c_32; tail sums
+    _antiderivative's per-piece (b - a)(|c_31| + |c_32|) over all k, unchopped.
     """
     b = np.asarray(bounds, dtype=float)
     nodes = _nodes(b)
-    quad = np.reshape(fn(nodes.ravel()), nodes.shape) @ _CHEB_QUAD
-    width = b[1:] - b[:-1]
-    value, _, _ = (width @ quad).tolist()
-    _, c31, c32 = (width @ np.abs(quad)).tolist()
-    return value, c31 + c32
+    # (k, pieces, 3): each piece's interpolant integral, |c_31| and |c_32|
+    quad = np.reshape(fn(nodes.ravel()), (-1,) + nodes.shape) @ _CHEB_QUAD
+    np.abs(quad[..., 1:], out=quad[..., 1:])
+    rows = ((b[1:] - b[:-1]) @ quad).tolist()
+    return [value for value, _, _ in rows], sum(c31 + c32 for _, c31, c32 in rows)

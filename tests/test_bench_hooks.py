@@ -63,42 +63,18 @@ def test_finite_n_monte_carlo_checks_pass(seed):
 def test_limit_workload_checks_pass(workload):
     # every operation of the workload, whatever its function, against its own
     # check and its reference at its ref_tol (REF_TOL but for argmax_p's
-    # abscissa), as the benchmark's first pass checks it: a change to the
-    # level tables that moves an output past that gate fails here first
+    # abscissa), as the benchmark's first pass checks it: the p_limit windows,
+    # and the figure and argmax_p against their independent checks (q2 closed
+    # form, gamma_star).  A change to the level tables that moves an output
+    # past that gate fails here before it fails the benchmark
     workloads = _load("workloads")
     reference = workloads.load_reference(workload)
     ops = workloads.WORKLOADS[workload](workloads.DEFAULT_SEED).ops
     assert {op.name for op in ops} == set(reference)
-    for op in ops:
-        out = op.call()
-        assert op.check(out) is None, op.name
-        assert workloads.compare_reference(out, reference[op.name], op.ref_tol) is None, op.name
-
-
-def test_limit_sweep_figure_and_argmax_checks_pass():
-    # the figure and argmax_p against their independent checks (q2 closed
-    # form, gamma_star) and against the values recorded in reference.json
-    workloads = _load("workloads")
-    reference = workloads.load_reference("limit-sweep")
-    ops = [op for op in workloads.limit_sweep(workloads.DEFAULT_SEED).ops
-           if op.name in ("figure", "argmax")]
-    assert len(ops) == 2
-    for op in ops:
-        out = op.call()
-        assert op.check(out) is None, op.name
-        assert workloads.compare_reference(out, reference[op.name], op.ref_tol) is None, op.name
-
-
-@pytest.mark.parametrize("workload", ["limit-deep", "limit-sweep"])
-def test_limit_window_checks_pass(workload):
-    # every p_limit window against its independent checks and the values
-    # recorded in reference.json: a change that moves a window's bits past
-    # op.ref_tol fails here before it fails the benchmark
-    workloads = _load("workloads")
-    reference = workloads.load_reference(workload)
-    ops = [op for op in workloads.WORKLOADS[workload](workloads.DEFAULT_SEED).ops
-           if op.fn == "p_limit"]
-    assert len(ops) == {"limit-deep": 3, "limit-sweep": workloads.SWEEP_WINDOWS}[workload]
+    windows = [op for op in ops if op.fn == "p_limit"]
+    assert len(windows) == {"limit-deep": 3, "limit-sweep": workloads.SWEEP_WINDOWS}[workload]
+    others = {"limit-deep": set(), "limit-sweep": {"figure", "argmax"}}[workload]
+    assert {op.name for op in ops if op.fn != "p_limit"} == others
     for op in ops:
         out = op.call()
         assert op.check(out) is None, op.name
@@ -106,7 +82,7 @@ def test_limit_window_checks_pass(workload):
 
 
 def test_limit_sweep_windows_build_below_the_top_and_read_closed_forms(monkeypatch):
-    # every sweep window builds tables for orders 2..r-1 only (none when the
+    # every sweep window builds tables for orders 2..r-2 only (none when the
     # box lies under the slice), and each order the ladder reads as
     # ln(delta/gamma)^m, level 1 among them, has the full ladder's bits
     workloads = _load("workloads")
@@ -123,7 +99,7 @@ def test_limit_sweep_windows_build_below_the_top_and_read_closed_forms(monkeypat
         g, d, r = iv.g, iv.d, limit_integrals.support_bound(iv.gamma)
         builds.clear()
         p_limit(iv)
-        assert len(builds) == (0 if r * d <= 1 else max(r - 2, 0)), iv
+        assert len(builds) == (0 if r * d <= 1 else max(r - 3, 0)), iv
         values, _ = limit_integrals._moments(r, g, d, 1.0)
         levels, _ = limit_integrals._ladder(r, g, d, 1.0)
         for m in range(1, len(values) + 1):

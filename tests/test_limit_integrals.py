@@ -113,7 +113,11 @@ _DEEP = [(1 / 20.3, 1 / 10.4), (1 / 10.3, 1.0), (1 / 8.3, 1 / 2.4)]
 
 
 def _level_builds(g, d):
-    """(m, bounds, integrand) of every table p_limit((g, d)) builds, from its own levels."""
+    """(m, bounds, integrand) of every table of orders 2..r-1, from its own levels.
+
+    p_limit((g, d)) builds those up to order r - 2; order r - 1 is a table of
+    the full ladder, which emit_figure_data builds.
+    """
     r = support_bound(g)
     levels, _ = _ladder(r - 1, g, d, 1.0)
     return [(m,) + limit_integrals._layout(m, g, d, 1.0, levels[m - 2])
@@ -169,6 +173,15 @@ class TestChoppedLevels:
         for m, bounds, fn in _level_builds(g, d):
             assert quadrature._antiderivative(bounds, fn)[0].shape[1] <= 24, m
 
+    @pytest.mark.parametrize("g, d", _DEEP)
+    def test_p_limit_tables_store_at_most_24_rows(self, g, d, count_builds):
+        # level r-1 of (1/20.3, 1/10.4) peaks at 3.7e-16 and keeps all 34
+        # columns, but p_limit builds no table above order r-2
+        p_limit(Interval(g, d))
+        assert len(count_builds) == support_bound(g) - 3
+        for bounds, fn in count_builds:
+            assert quadrature._antiderivative(bounds, fn)[0].shape[1] <= 24
+
     def test_keeps_two_columns_of_a_zero_table(self):
         coef, tail = quadrature._antiderivative([0.0, 0.5, 1.0], np.zeros_like)
         assert coef.shape == (2, 2) and not coef.any() and not tail.any()
@@ -207,6 +220,47 @@ class TestSlicedCubeIntegral:
         levels, _ = _ladder(10, 1 / 10.3, 1.0, 1.0)
         assert len(levels) == 10
         assert calls == levels[1:-1]
+
+    def test_kernel_route_at_r2_against_mpmath(self):
+        # I_2(1.6) on (0.01, 1] as one integral at 30 digits: the inner
+        # coordinate runs over [0.01, min(1, 1.6 - x)]
+        iv = Interval(0.01, 1.0)
+        val, err = sliced_cube_integral(2, iv, 1.6, with_error=True)
+        with mpmath.workdps(30):
+            g, c = mpmath.mpf(iv.g), mpmath.mpf(1.6)
+            want = mpmath.quad(lambda x: mpmath.log(min(1, c - x) / g) / x, [g, c - 1, 1])
+        assert abs(val - want) <= 1e-13
+        assert abs(val - want) <= err
+        assert abs(want - mpmath.mpf("21.0990525173181631")) < 1e-15
+
+    @pytest.mark.parametrize("g, d", _DEEP + [
+        (0.45, 1.0), (0.4, 0.62), (0.3, 1.0), (0.28, 0.5), (0.22, 1.0), (0.21, 0.55),
+        (0.201, 1.0), (0.205, 0.3)])  # like limit-sweep's strata: supports 2 to 4
+    @pytest.mark.parametrize("c", [0.45, 0.7, 1.0, 1.6])
+    def test_top_two_orders_match_the_full_ladder(self, g, d, c):
+        # orders r-1 and r of _moments against the ends of _ladder(r)'s
+        # tables, within the error reported for the top order it returns
+        r = support_bound(g)
+        values, _ = _moments(r, g, d, c)
+        levels, _ = _ladder(r, g, d, c)
+        assert len(values) == len(levels)
+        if not values:
+            return
+        _, err = sliced_cube_integral(len(values), Interval(g, d), c, with_error=True)
+        for m in range(max(r - 1, 2), len(values) + 1):
+            assert abs(values[m - 1] - float(levels[m - 1](c))) <= err, m
+
+    def test_top_two_orders_read_the_last_table_once(self, monkeypatch):
+        # one array call on level r-2 gives the integrand of level r-1 at
+        # every node, from which both top orders are integrated
+        calls, call = [], _PiecewiseCheb.__call__
+        monkeypatch.setattr(_PiecewiseCheb, "__call__",
+                            lambda table, t: calls.append(table) or call(table, t))
+        values, _ = _moments(10, 1 / 10.3, 1.0, 1.0)
+        assert len(values) == 10
+        # the tables of orders 2..8, each read once: by the next build, and
+        # order 8 by _kernel_pair
+        assert len(calls) == 7 == len(set(map(id, calls)))
 
     def test_error_estimate_bounds_the_gap_on_the_q2_grid(self):
         # 60 x 31 windows of the q2 regime against the dilogarithm closed form
@@ -500,20 +554,20 @@ class TestPLimit:
         assert got == pmf_from_falling_moments(
             MomentVector((1.0, *(float(level(1.0)) for level in levels))))
         count_builds.clear()
-        p_limit(Interval(g, 0.5))  # K*delta > 1 still builds the ladder
+        p_limit(Interval(g / 2, 0.5))  # K*delta > 1 with K >= 4 still builds the ladder
         assert count_builds
 
     @pytest.mark.parametrize("g, d", [(0.4, 1.0), (0.45, 0.8), (0.3, 1.0), (0.3, 0.7),
                                       (0.22, 1.0), (0.21, 0.6), (0.19, 0.5), (1 / 10.3, 1.0)])
     def test_only_the_levels_below_the_top_are_tables(self, g, d, count_builds):
-        # support r with r*delta > 1: orders 2..r-1 are tables, order r is
-        # integrated in place, so support 2 builds none
+        # support r with r*delta > 1: orders 2..r-2 are tables, orders r-1
+        # and r are integrated in place, so supports 2 and 3 build none
         r = support_bound(g)
         p_limit(Interval(g, d))
-        assert len(count_builds) == r - 2
+        assert len(count_builds) == max(r - 3, 0)
         count_builds.clear()
         q_limit(r, Interval(g, d))
-        assert len(count_builds) == r - 2
+        assert len(count_builds) == max(r - 3, 0)
 
     def test_argmax_builds_no_table(self, count_builds):
         argmax_p(1, 0.34, 0.49)  # support 2 on the whole bracket
@@ -523,10 +577,10 @@ class TestPLimit:
                                       (1 / 8.3, 1 / 2.3), (0.26, 0.5)])
     @pytest.mark.parametrize("c", [1.0, 0.7, 0.45, 0.5 - 1e-14])
     def test_moments_read_the_tables_bits(self, g, d, c):
-        # order 1 is the log read at c; orders 2..r-1, and every order with
+        # order 1 is the log read at c; orders 2..r-2, and every order with
         # m*delta <= c, have the bits of the end of the full ladder's table;
-        # the top order is integrated in place and agrees with the table
-        # within rounding
+        # the top two orders are integrated in place and agree with the
+        # table within rounding
         r = support_bound(g)
         values, _ = _moments(r, g, d, c)
         levels, _ = _ladder(r, g, d, c)
@@ -535,7 +589,7 @@ class TestPLimit:
             want = float(level(c))
             if m == 1:
                 assert got.hex() == want.hex(), (got, want)
-            elif m < r or c >= m * d - _BND_EPS:
+            elif m < r - 1 or c >= m * d - _BND_EPS:
                 assert got.hex() == level.end().hex(), (m, got, level.end())
             else:
                 assert abs(got - want) <= 1e-18 + 1e-13 * abs(want), (m, got, want)
@@ -633,6 +687,18 @@ class TestPLimit:
         with pytest.raises(DomainError, match="ladder"):
             p_limit(Interval(g, d))
         assert time.perf_counter() - t0 < 0.05
+
+    # Dickman's rho(k) for k = 2..6 and 10, from a 50-digit Taylor series
+    # about the midpoint of each unit piece (rho(2) = 1 - ln 2)
+    _RHO = {2: 0.30685281944005469, 3: 0.048608388291131567, 4: 0.0049109256477608324,
+            5: 3.5472470045603973e-4, 6: 1.9649696353955290e-5, 10: 2.7701718377259590e-11}
+
+    @pytest.mark.parametrize("k", sorted(_RHO))
+    def test_no_cycle_above_one_kth_is_dickman_rho(self, k):
+        # on (1/k, 1], no window cycle means every cycle is shorter than
+        # n/k, whose limiting probability is rho(k)
+        got = p_limit(Interval(Fraction(1, k), 1)).as_floats()[0]
+        assert abs(got - self._RHO[k]) <= 1e-15
 
     def test_deep_window_box_moments(self):
         # gamma near 1/20, delta near 1/10: support 20, 18 nested levels.

@@ -274,7 +274,7 @@ class TestIntegral:
     @pytest.mark.parametrize("k", range(33))
     def test_integrates_every_chebyshev_polynomial(self, k):
         # Fejer's first rule on 33 nodes is exact through degree 32
-        value, _ = _integral([-1.0, 1.0], lambda x: chebvander(x, 32)[:, k])
+        (value,), _ = _integral([-1.0, 1.0], lambda x: chebvander(x, 32)[:, k])
         assert abs(value - (0.0 if k % 2 else 2.0 / (1 - k * k))) <= 1e-15
 
     def test_samples_the_interpolation_nodes(self):
@@ -288,7 +288,7 @@ class TestIntegral:
     @pytest.mark.parametrize("name", sorted(_KINKED))
     def test_value_matches_the_antiderivative_table(self, name):
         bounds, fn = _KINKED[name]
-        value, _ = _integral(bounds, fn)
+        (value,), _ = _integral(bounds, fn)
         table = _PiecewiseCheb(bounds, _antiderivative(bounds, fn)[0], 0.0, None)
         scale = max(abs(table(b)) for b in bounds)
         assert abs(value - table(bounds[-1])) <= 4 * np.spacing(scale)
@@ -302,6 +302,19 @@ class TestIntegral:
         got = _PiecewiseCheb(bounds, coef, None, None).end()
         assert abs(got - want) <= 4 * np.spacing(abs(want)), (got, want)
         assert _PiecewiseCheb(bounds, coef, None, 2.5).end() == 2.5
+
+    def test_stack_gives_each_integrand_and_one_summed_tail(self):
+        # k integrands on one layout, one after another in one array: each
+        # value is that integrand's alone, and the tail sums all k tails
+        bounds = _KINKED["sqrt"][0]
+        fns = [fn for _, fn in _KINKED.values()]
+        alone = [_integral(bounds, fn) for fn in fns]
+        values, tail = _integral(bounds, lambda t: np.concatenate([fn(t) for fn in fns]))
+        assert len(values) == len(fns)
+        for got, ((want,), _) in zip(values, alone):
+            assert abs(got - want) <= 4 * np.spacing(abs(want))
+        want = sum(t for _, t in alone)
+        assert abs(tail - want) <= 4 * np.spacing(want)
 
     @pytest.mark.parametrize("name", ["sqrt", "cos"])
     def test_tail_matches_the_summed_table_tails(self, name):
