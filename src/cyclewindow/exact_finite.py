@@ -35,6 +35,7 @@ class CycleSpec:
         if len(set(ks)) != len(ks):
             raise DomainError("cycle lengths must be distinct")
         for k, r in self.entries:
+            require_int(k=k, r=r)
             if k < 1:
                 raise DomainError(f"cycle length {k} < 1")
             if r < 1:
@@ -90,6 +91,7 @@ def joint_falling_moment(n, spec: CycleSpec):
 
     Equals prod k_i^{-r_i} exactly when n >= sum k_i r_i, else exactly 0.
     """
+    require_int(n=n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     for k, _ in spec.entries:
@@ -115,11 +117,11 @@ def exact_pmf(n, w: IntWindow, rational=None):
         u_m = u_{m-1} + D_m / (m(m+1)),    u_0 = P_0 = [1, 0, ...].
 
     D_m reads only rows at or below m - a, so the a rows of a block
-    m = s..s+a-1 need only rows already filled: each block is one gather of
-    its window sums and one cumulative sum down m.  The last row is
-    P_n = u_{n-1} + D_n/n, which avoids differencing cum.  The fill is
-    O(n * support) numpy work in about n/a blocks, on an (n+1) x support
-    table of cum rows.
+    m = s..s+a-1 need only rows already filled: a block reads its window sums
+    as two row slices of cum, takes one cumulative sum down m, and fills only
+    the (s+a-1)//a + 1 columns that can be nonzero (row m has m//a + 1).  The
+    last row is P_n = u_{n-1} + D_n/n, which avoids differencing cum.  The
+    fill is about n^2/(2a) cells in n/a blocks on an (n+1) x support table.
 
     rational=None picks exact Fractions for n <= 200 and floats beyond.
     Floats use a float64 table; tiny negatives left by rounding are set to
@@ -147,30 +149,32 @@ def exact_pmf(n, w: IntWindow, rational=None):
             f"exact_pmf table for n = {n} with support {support} needs about "
             f"{size / 2**20:.0f} MiB, over the {DP_TABLE_MAX_BYTES / 2**20:.0f} MiB cap")
     if rational:
-        dtype, one, div = object, math.factorial(n), operator.floordiv
+        dtype, one, div = object, math.factorial(n), operator.ifloordiv
     else:
-        dtype, one, div = np.float64, 1.0, operator.truediv
+        dtype, one, div = np.float64, 1.0, operator.itruediv
 
-    # cum[j] = P_0 + ... + P_{j-1}; the zero row cum[0] stands for every
-    # row below 0
+    # cum[j] = P_0 + ... + P_{j-1}, zero in its columns from (j-1)//a + 1 on
     cum = np.zeros((n + 1, support), dtype)
     u = np.zeros(support, dtype)
-    u[0] = one
-    cum[1] = u
-
-    def steps(m):
-        # D_m for the rows m, from the window sums cum_{m-a} - cum_{m-b-1}
-        win = cum[np.maximum(m - a + 1, 0)] - cum[np.maximum(m - b, 0)]
-        d = -win
-        d[:, 1:] += win[:, :-1]
-        return d
-
-    for s in range(1, n, a):
-        m = np.arange(s, min(s + a, n))
-        block = u + np.cumsum(div(steps(m), (m * (m + 1))[:, None]), axis=0)
-        cum[s + 1:s + 1 + len(m)] = block * (m + 1)[:, None]
-        u = block[-1]
-    last = u + div(steps(np.array([n]))[0], n)
+    u[0] = cum[1, 0] = one
+    for s in range(1, n + 1, a):
+        # rows m = s..e-1 have k live columns, and their window sums
+        # W = cum_{m-a} - cum_{m-b-1} have k - 1, read as two row slices from
+        # the first row past cum[0]; a zero border gives D(i) = W(i-1) - W(i)
+        e = min(s + a, n + 1)
+        k = (e - 1) // a + 1
+        d = np.zeros((e - s, k + 1), dtype)
+        d[max(a - s, 0):, 1:k] = cum[max(s - a, 0) + 1:e - a + 1, :k - 1]
+        if e > b + 1:
+            d[max(b + 1 - s, 0):, 1:k] -= cum[max(s - b, 1):e - b, :k - 1]
+        d = d[:, :-1] - d[:, 1:]
+        m = np.arange(s, min(e, n))
+        block = d[:len(m)]  # divided, summed down m and shifted by u in place
+        np.cumsum(div(block, (m * (m + 1))[:, None]), axis=0, out=block)
+        block += u[:k]
+        cum[s + 1:s + 1 + len(m), :k] = block * (m + 1)[:, None]
+        u[:k] = block[-1] if len(m) else u[:k]
+    last = u + div(d[-1], n)
     if rational:
         return Pmf(tuple(Fraction(x, one) for x in last))
     return Pmf(tuple(np.maximum(last, 0.0).tolist()))
@@ -210,9 +214,10 @@ def exact_falling_moment(n, w: IntWindow, r):
     """E[(X)_r] for X = number of cycles with length in the window, exact.
 
     By Cauchy's formula E[(X)_r] is the sum of prod 1/k_i over ordered tuples
-    (k_1..k_r) of window lengths with sum k_i <= n.  Built by convolution:
-    f_0 = [s = 0], f_j(s) = sum_{a <= k <= min(b, s)} f_{j-1}(s - k) / k for
-    s <= n, and the moment is the sum of f_r, taken as the sum of f_{r-1}(t)
+    (k_1..k_r) of window lengths with sum k_i <= n.  Built by convolution from
+    f_1(s) = [a <= s <= b]/s: f_j(s) = sum_{a <= k <= min(b, s)} f_{j-1}(s-k)/k
+    for s <= n, a sum of products of a slice of f_{j-1} and a reversed slice
+    of 1/k.  The moment is the sum of f_r, taken as the sum of f_{r-1}(t)
     times the window's harmonic sum up to n - t.  The f_j are carried as
     integers over the common denominator d**j, d = lcm of the window lengths.
     A call over MOMENT_MAX_WORK is refused with DomainError before it starts.
@@ -227,12 +232,12 @@ def exact_falling_moment(n, w: IntWindow, r):
     # work in operations on 30-bit words of the D = 1.5b/30-word integers:
     # 16 a word for d, inv and harmonic, 128 a loop step, (r-1)D^2 a final
     # term, and in pass j 128 + jD (the running sum) per pair (s, t) visited
-    # and (j-1)D^2 per product with a nonzero f_{j-1}(t); f_0 is [1, 0, ...].
+    # and (j-1)D^2 per product with a nonzero f_{j-1}(t); f_1 = 1/k takes no pass.
     # Past the cap on the steps alone the passes go uncounted: r*n can be huge.
     a, b = w.a, min(w.b, n)
     width, words = max(b - a + 1, 0), b / 20
     work = 16 * (n + width) * words + (128 * r + (r - 1) * words**2) * (n + 1)
-    for j in range(1, min(r, n // a + 1) if work <= MOMENT_MAX_WORK else 1):
+    for j in range(2, min(r, n // a + 1) if work <= MOMENT_MAX_WORK else 2):
         m = n + 1 - j * a  # at s = j*a - 1 + u the pass visits min(u, width) pairs
         pairs = min(m, width) * (2 * m - min(m, width) + 1) // 2
         nonzero = min(pairs, (min((j - 1) * b, n) - (j - 1) * a + 1) * width)
@@ -242,10 +247,13 @@ def exact_falling_moment(n, w: IntWindow, r):
                           f"r = {r} needs about {work:.1e} word operations, over the cap")
     d = math.lcm(*range(a, b + 1))
     inv = [d // k if a <= k <= b else 0 for k in range(n + 1)]
-    f = [1] + [0] * n
-    for j in range(r - 1):
-        # f_j vanishes below j*a
-        f = [sum(f[t] * inv[s - t] for t in range(max(j * a, s - b), s - a + 1))
-             for s in range(n + 1)]
+    rev = inv[::-1]  # inv[s - t] = rev[n - s + t]
+    f = inv if r > 1 else [1]
+    for j in range(1, r - 1):
+        # f_j vanishes below j*a, so f_{j+1} below (j+1)*a
+        f = [0] * min((j + 1) * a, n + 1) + [
+            sum(map(operator.mul, f[(lo := max(j * a, s - b)):s - a + 1],
+                    rev[n - s + lo:n - a + 1]))
+            for s in range((j + 1) * a, n + 1)]
     harmonic = list(itertools.accumulate(inv))
-    return Fraction(sum(f[t] * harmonic[n - t] for t in range(n + 1)), d**r)
+    return Fraction(sum(map(operator.mul, f, reversed(harmonic))), d**r)

@@ -84,6 +84,7 @@ def sample_cycle_lengths(n, sigma, gen):
     sigma/(sigma+j), else joins an existing cycle with probability
     proportional to its current length.
     """
+    require_int(n=n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if not 0 < sigma < math.inf:

@@ -1,5 +1,6 @@
 """Exact finite-n ground truth: moments, DP distribution, brute force."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -31,6 +32,13 @@ def direct_rows(top, w):
                 row[i + hit] += p
         rows.append([p / m for p in row])
     return rows
+
+
+def cauchy_sum(n, w, r):
+    """Sum of prod 1/k_i over ordered r-tuples of window lengths with sum <= n."""
+    lengths = range(w.a, min(w.b, n) + 1)  # a longer cycle fits in no tuple
+    return sum((Fraction(1, math.prod(ks)) for ks in itertools.product(lengths, repeat=r)
+                if sum(ks) <= n), Fraction(0))
 
 
 def check_against_direct(n, w, want):
@@ -154,6 +162,16 @@ class TestDirectRecursion:
                 for n in (k * a - 1, k * a, k * a + 1):
                     check_against_direct(n, w, rows[n])
 
+    @pytest.mark.parametrize("a", [1, 2, 7])
+    def test_live_columns_beyond_n30(self, a):
+        # at a <= 2 a column opens every row or every other row, b = 50 lies
+        # past n, and n = ka, ka + 1, ka + 2 end on blocks of a, one and two rows
+        ns = [n for n in range(31, 45) if n % a <= 2]
+        for w in (IntWindow(a, a + 3), IntWindow(a, 50)):
+            rows = direct_rows(max(ns), w)
+            for n in ns:
+                check_against_direct(n, w, rows[n])
+
 
 class TestBruteForce:
     def test_s3_fixed_points(self):
@@ -221,12 +239,24 @@ class TestExactFallingMoment:
         assert time.perf_counter() - t0 < 1.0
 
     def test_sparse_first_pass_is_allowed(self):
-        # only f_0(0) is nonzero in the first pass, so this runs in well
-        # under a second though it visits half a million (s, t) pairs
+        # r = 2 takes the harmonic sums against f_1 = 1/k alone and runs no
+        # convolution pass, so this runs in well under a second
         w = IntWindow(1000, 2000)
         got = exact_falling_moment(2000, w, 2)
         assert got == falling_moment(exact_pmf(2000, w, rational=True), 2)
         assert got == Fraction(1, 10**6)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_window_against_cauchy_sum(self, n):
+        # b runs past n, and every r with r*a > n must give exactly 0
+        for a in range(1, n + 2):
+            for b in range(a, n + 3):
+                w = IntWindow(a, b)
+                for r in range(5):
+                    got = exact_falling_moment(n, w, r)
+                    assert got == cauchy_sum(n, w, r), (n, a, b, r)
+                    if r * a > n:
+                        assert got == 0, (n, a, b, r)
 
     def test_empty_window_moments(self):
         assert exact_falling_moment(5, IntWindow(7, 9), 1) == 0
@@ -291,8 +321,20 @@ class TestNonIntegerArguments:
         with pytest.raises(DomainError, match="n must be an integer, got 5.5"):
             brute_force_pmf(5.5, IntWindow(2, 3))
 
+    @pytest.mark.parametrize("entries", [((3, 1.5),), ((2.5, 1),), ((3.0, 1),)])
+    def test_cycle_spec(self, entries):
+        # ((3, 1.5),) gave joint_falling_moment 0.19245 and ((2.5, 1),) gave 2/5
+        with pytest.raises(DomainError, match="must be an integer"):
+            CycleSpec(entries)
+
+    def test_joint_falling_moment(self):
+        with pytest.raises(DomainError, match="n must be an integer, got 10.5"):
+            joint_falling_moment(10.5, CycleSpec(((3, 1),)))
+
     def test_numpy_integers_are_accepted(self):
         w = IntWindow(np.int64(2), np.int32(3))
         assert exact_pmf(np.int64(5), w) == brute_force_pmf(5, IntWindow(2, 3))
         assert normalized_window(np.int64(10), 0.25, 0.5) == IntWindow(3, 5)
         assert exact_falling_moment(10, w, np.int64(2)) == exact_falling_moment(10, w, 2)
+        spec = CycleSpec(((np.int64(3), np.int32(2)),))
+        assert joint_falling_moment(np.int64(10), spec) == Fraction(1, 9)

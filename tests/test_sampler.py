@@ -123,6 +123,12 @@ class TestSingleDraws:
         with pytest.raises(DomainError):
             sample_cycle_lengths(5, -2.0, gen(0))
 
+    @pytest.mark.parametrize("n, sigma", [(3.0, 1.0), (2.5, 1.0), (2.5, 2.0)])
+    def test_non_integer_n_refused(self, n, sigma):
+        # 3.0 returned CycleLengths with n=3.0; 2.5 raised a bare ValueError or TypeError
+        with pytest.raises(DomainError, match=f"n must be an integer, got {n}"):
+            sample_cycle_lengths(n, sigma, gen(0))
+
 
 class TestEstimatePmf:
     @pytest.mark.parametrize("sigma", [0.5, 2.0])
