@@ -74,8 +74,8 @@ LADDER_MAX_ORDER = 1000  # (1/1000, 1) peaks at 2e298; (1/1200, 1) overflows flo
 
 
 def _box_moment(m, g, d):
-    """ln(d/g)^m, order m at c >= m*d, with the bits of the ladder's level m."""
-    return float(np.log(d / g)) if m == 1 else math.log(d / g) ** m
+    """ln(d/g)^m, order m at c >= m*d, from the np.log that level 1 reads."""
+    return float(np.log(d / g)) ** m
 
 
 def _layout(m, g, d, top, below, cuts=()):
@@ -114,27 +114,26 @@ def _kernel_pair(m, g, d, top, below):
 
 
 def _ladder(r, g, d, top):
-    """(levels, tails): the tables of orders 1..r up to the slice top, and errors.
+    """(levels, tail): the tables of orders 1..r up to the slice top, and their error.
 
-    Level m reads I_m(c) at any c <= top; tails[m-1] sums the tails of every
-    _antiderivative up to level m.  Level 1 is ln(c/gamma) clipped to
+    Level m reads I_m(c) at any c <= top; tail sums the tails of every
+    _antiderivative the ladder builds.  Level 1 is ln(c/gamma) clipped to
     the window, not a table; above m*delta a table reads _box_moment.  The
-    lists stop at the last order with m*gamma < top - _BND_EPS, as every order
+    list stops at the last order with m*gamma < top - _BND_EPS, as every order
     above it is 0.
     """
-    level, levels, tails, total = (lambda t: np.log(np.clip(t, g, d) / g)), [], [], 0.0
+    level, levels, tail = (lambda t: np.log(np.clip(t, g, d) / g)), [], 0.0
     for m in range(1, r + 1):
         if m * g >= top - _BND_EPS:
             break  # the region is empty or thinner than _BND_EPS
         if m > 1:
             bounds, integrand = _layout(m, g, d, top, level)
-            coef, tail = _antiderivative(bounds, integrand)
+            coef, piece_tails = _antiderivative(bounds, integrand)
             above = _box_moment(m, g, d) if top >= m * d - _BND_EPS else None
             level = _PiecewiseCheb(bounds, coef, left=0.0, right=above)
-            total += float(tail.sum())
+            tail += float(piece_tails.sum())
         levels.append(level)
-        tails.append(total)
-    return levels, tails
+    return levels, tail
 
 
 def _moments(r, g, d, top):
@@ -145,17 +144,17 @@ def _moments(r, g, d, top):
     _box_moment, the tail 0, and nothing is built.  Otherwise order 1 is
     _box_moment at min(delta, top), orders 2..r-2 are the ends of _ladder's
     tables, and orders r-1 and r come from _kernel_pair on level r-1's
-    integrand, with no table; values stops where _ladder's lists would.
+    integrand, with no table; values stops where _ladder's list would.  The
+    tail adds _kernel_pair's to _ladder's.
     """
     if min(r, top / g) > LADDER_MAX_ORDER:
         raise DomainError(f"window ({g!r}, {d!r}) needs sliced moments past the "
                           f"ladder's order cap {LADDER_MAX_ORDER}; they can overflow float64")
     if top >= r * d - _BND_EPS:
         return [_box_moment(m, g, d) for m in range(1, r + 1)], 0.0
-    levels, tails = _ladder(max(r - 2, 1), g, d, top)
+    levels, tail = _ladder(max(r - 2, 1), g, d, top)
     values = [_box_moment(1, g, min(d, top))][:len(levels)]
     values += [level.end() for level in levels[1:]]
-    tail = sum(tails[-1:])
     if r > 1 and (r - 1) * g < top - _BND_EPS:
         pair, more = _kernel_pair(r - 1, g, d, top, levels[-1])
         values[r - 2:] = pair if r * g < top - _BND_EPS else pair[:1]
@@ -328,26 +327,16 @@ def p1_derivative(gamma):
 def gamma_star():
     """The gamma in (1/3, 1/2) maximizing the one-cycle probability of (gamma, 1].
 
-    Bisection-safeguarded Newton on p1_derivative; closed form 1/(1+sqrt(e)).
+    Bisection on the sign of p1_derivative, until the midpoint is no longer
+    strictly inside the bracket; closed form 1/(1+sqrt(e)).
     """
-    lo, hi = 1 / 3 + 1e-9, 0.5 - 1e-9   # f > 0 at lo, f < 0 at hi
-    x = 0.38
-    for _ in range(100):
-        fx = p1_derivative(x)
-        if fx > 0:
-            lo = x
+    lo, hi = 1 / 3 + 1e-9, 0.5 - 1e-9  # p1_derivative > 0 at lo, < 0 at hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if p1_derivative(mid) > 0:
+            lo = mid
         else:
-            hi = x
-        l = math.log1p(-x) - math.log(x)
-        fpx = (2.0 * (-1.0 / (1.0 - x) - 1.0 / x) * x - (-1.0 + 2.0 * l)) / (x * x)
-        step = fx / fpx
-        nxt = x - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) < 1e-14:
-            return nxt
-        x = nxt
-    return x
+            hi = mid
+    return mid
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -13,18 +13,21 @@ at the interval endpoints as long as the integral itself is finite.
 
 Gauss-Kronrod refinement runs in integrate_many, which integrates a batch
 of intervals at once: every round it evaluates the integrand on all live
-panels of all integrals in one array call, accepts or halves each panel,
-and finally sums each integral's panels pairwise up its split tree, so a
-batch gives each integral the value a depth-first recursion would give.
-integrate() is a batch of one over a scalar integrand.  A panel whose error
-estimate is within its rounding floor, 50*eps*|value|, is accepted, since
-halving cannot reduce rounding noise.  A non-finite panel estimate, or more
-than MAX_LIVE_PANELS live panels in one integral, raises ToleranceNotMet
-rather than refining on to MAX_DEPTH.
+panels of all integrals in one array call, halves the panels that miss
+their tolerance and adds the rest to their integrals' totals.  An integral
+receives only its own panels, in the same order whatever else the batch
+holds, so integrate(), a batch of one over a scalar integrand, gives it
+the same bits.  A panel whose error estimate is within its rounding floor,
+50*eps*|value|, is accepted, since halving cannot reduce rounding noise.
+A non-finite panel estimate, or more than MAX_LIVE_PANELS live panels in
+one integral, raises ToleranceNotMet rather than refining on to MAX_DEPTH.
 
 _PiecewiseCheb holds Chebyshev series on consecutive pieces and evaluates
 them on arrays, a scalar giving a 0-d array; end() is the value at the last
 bound, the last piece's coefficient sum, as every T_k is 1 at +1.
+_interp_pieces fits every piece with one product of its node values and a
+fixed matrix; the coefficients agree with Chebyshev.interpolate's within
+about eps*max|f|, while evaluation has numpy's bits.
 _antiderivative integrates a function on every piece at once, with one matrix
 product and one cumsum, chopping columns below rounding: the method of steps
 for delay equations (Bellman and Cooke, Differential-Difference Equations,
@@ -119,10 +122,10 @@ def integrate_many(f, los, his, tol=1e-11, breakpoints=None):
     Each integral follows the rules of integrate(): its pieces between
     breakpoints get tolerance tol*(b-a)/(hi-lo), halved at each split; a GK15
     panel is accepted when its error is at most the larger of its tolerance
-    and its rounding floor 50*eps*|value|, or at MAX_DEPTH; panel values,
-    errors and floors are summed pairwise up the split tree, then piece by
-    piece.  All live panels of all integrals are refined together, breadth
-    first, so f sees one array per round.
+    and its rounding floor 50*eps*|value|, or at MAX_DEPTH, and its value,
+    error and floor are then added to its integral's totals.  All live
+    panels of all integrals are refined together, breadth first, so f sees
+    one array per round and only live panels are held.
 
     Returns (values, errors) arrays.  Raises ToleranceNotMet, naming the
     first failing integral, when a panel estimate is not finite, when one
@@ -141,9 +144,9 @@ def integrate_many(f, los, his, tol=1e-11, breakpoints=None):
             lo.append(pa)
             hi.append(pb)
             ptol.append(tol * (pb - pa) / (b - a))
-    first_owner = owner = np.array(owner, dtype=np.intp)
+    owner = np.array(owner, dtype=np.intp)
     lo, hi, ptol = np.array(lo, dtype=float), np.array(hi, dtype=float), np.array(ptol)
-    rounds = []
+    totals, errs, floors = np.zeros(n), np.zeros(n), np.zeros(n)
     depth = 0
     while owner.size:
         h = 0.5 * (hi - lo)
@@ -152,6 +155,8 @@ def integrate_many(f, los, his, tol=1e-11, breakpoints=None):
         kron = np.zeros(owner.size)
         gauss = np.zeros(owner.size)
         with np.errstate(invalid="ignore", over="ignore"):
+            # a node at a time, not y @ W: a BLAS product may sum a row in an
+            # order that depends on the batch, and the batch would move its bits
             for j, (wk, wg) in enumerate(_GK_PAIRS):
                 kron += wk * y[:, j]
                 if wg:
@@ -165,11 +170,10 @@ def integrate_many(f, los, his, tol=1e-11, breakpoints=None):
             raise _not_met(int(owner[k]), f"non-finite panel estimate on "
                            f"[{lo[k]!r}, {hi[k]!r}]", requested=float(ptol[k]))
         floor = _FLOOR * np.abs(val)
-        if depth >= MAX_DEPTH:
-            split = np.zeros(owner.size, dtype=bool)
-        else:
-            split = err > np.maximum(ptol, floor)
-        rounds.append((val, err, floor, split))
+        split = (err > np.maximum(ptol, floor)) & (depth < MAX_DEPTH)
+        done = ~split
+        for out, panel in zip((totals, errs, floors), (val, err, floor)):
+            np.add.at(out, owner[done], panel[done])
         lo, hi, mid = lo[split], hi[split], mid[split]
         lo = np.column_stack((lo, mid)).ravel()
         hi = np.column_stack((mid, hi)).ravel()
@@ -181,17 +185,6 @@ def integrate_many(f, los, his, tol=1e-11, breakpoints=None):
                 raise _not_met(int(live.argmax()), f"more than {MAX_LIVE_PANELS} "
                                f"live panels at depth {depth + 1}")
         depth += 1
-    # a split panel's estimate is the sum of its two halves, as in a recursion
-    below = None
-    for *sums, split in reversed(rounds):
-        if below is not None:
-            for total, half in zip(sums, below):
-                total[split] = half[0::2] + half[1::2]
-        below = sums
-    totals, errs, floors = np.zeros(n), np.zeros(n), np.zeros(n)
-    if below is not None:
-        for out, panel in zip((totals, errs, floors), below):
-            np.add.at(out, first_owner, panel)
     allowed = tol + floors
     failed = np.flatnonzero(errs > allowed)
     if failed.size:
@@ -271,13 +264,15 @@ def integrate_simpson(f, lo, hi, tol, breakpoints=()):
 _CHEB_DEG = 32
 _BND_EPS = 1e-13
 _CHEB_PTS = chebpts1(_CHEB_DEG + 1)
-_CHEB_VANDER = chebvander(_CHEB_PTS, _CHEB_DEG)
 # row k: Chebyshev coefficients of the antiderivative of T_k vanishing at -1
 _CHEB_INTEG = chebint(np.eye(_CHEB_DEG + 1), lbnd=-1, axis=1)
+# node values to the interpolant's Chebyshev coefficients, a row per node:
+# the discrete orthogonality of T_0..T_32 on the 33 first-kind nodes
+_CHEB_FIT = (chebvander(_CHEB_PTS, _CHEB_DEG) * np.r_[1.0, np.full(_CHEB_DEG, 2.0)]
+             / (_CHEB_DEG + 1))
 # node values to, by column, half the interpolant's integral over [-1, 1]
-# (Fejer's first-rule weights: each T_k's integral through the chebvander
-# fit) and the interpolant's last two coefficients, c_31 and c_32
-_CHEB_FIT = _CHEB_VANDER * np.r_[1.0, np.full(_CHEB_DEG, 2.0)] / (_CHEB_DEG + 1)
+# (Fejer's first-rule weights: each T_k's integral through _CHEB_FIT) and
+# the interpolant's last two coefficients, c_31 and c_32
 _CHEB_QUAD = np.column_stack((_CHEB_FIT @ _CHEB_INTEG.sum(axis=1) / 2.0, _CHEB_FIT[:, -2:]))
 
 
@@ -348,18 +343,13 @@ def _nodes(b):
 def _interp_pieces(bounds, fn):
     """Degree-32 Chebyshev coefficients of fn, one row per [bounds[i], bounds[i+1]].
 
-    fn maps the flat array of every piece's 33 nodes to values in one call.
-    Nodes and coefficients are computed as Chebyshev.interpolate computes
-    them (one matrix-vector product per piece keeps them bit-identical).
+    fn maps the flat array of every piece's 33 nodes to values in one call,
+    and one product with _CHEB_FIT fits every piece.  The nodes are
+    Chebyshev.interpolate's, and the coefficients agree with its within
+    about eps*max|f| over the piece's nodes.
     """
     nodes = _nodes(np.asarray(bounds, dtype=float))
-    ys = np.reshape(fn(nodes.ravel()), nodes.shape)
-    # one np.dot per piece, not one batched product: ys @ V, np.dot(V.T, ys.T)
-    # and einsum sum in another order and lose bit-identity with numpy
-    coef = np.array([np.dot(_CHEB_VANDER.T, y) for y in ys])
-    coef[:, 0] /= _CHEB_DEG + 1
-    coef[:, 1:] /= 0.5 * (_CHEB_DEG + 1)
-    return coef
+    return np.reshape(fn(nodes.ravel()), nodes.shape) @ _CHEB_FIT
 
 
 def _antiderivative(bounds, fn, start=0.0):

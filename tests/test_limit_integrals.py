@@ -5,6 +5,7 @@ nested/double quadrature over the defining integrals, mpmath dilogarithms,
 and high-precision evaluation of the analytic formulas.
 """
 
+import functools
 import math
 import os
 import random
@@ -91,12 +92,16 @@ class TestPiecewiseCheb:
             cheb = chebs[min(np.searchsorted(bounds, t, side="right") - 1, 2)]
             assert v == float(cheb(t))
 
-    def test_interp_pieces_match_chebyshev_interpolate(self):
-        bounds = [0.1, 0.25, 0.6]
-        chebs = _chebs(bounds, _interp_pieces(bounds, np.exp))
+    @pytest.mark.parametrize("fn", [np.exp, np.log, np.reciprocal, np.sin])
+    def test_interp_pieces_match_chebyshev_interpolate(self, fn):
+        # one product with _CHEB_FIT sums in another order than numpy's fit:
+        # every coefficient within 2*eps*max|f| over the piece's nodes
+        bounds = [0.1, 0.25, 0.6, 0.62, 3.0]
+        chebs = _chebs(bounds, _interp_pieces(bounds, fn))
         for a, b, cheb in zip(bounds, bounds[1:], chebs):
-            want = Chebyshev.interpolate(np.exp, 32, domain=[a, b])
-            assert list(cheb.coef) == list(want.coef)
+            want = Chebyshev.interpolate(fn, 32, domain=[a, b])
+            scale = np.abs(fn(quadrature._nodes(np.array([a, b])))).max()
+            assert np.abs(cheb.coef - want.coef).max() <= 2 * np.finfo(float).eps * scale
             assert list(cheb.domain) == [a, b]
 
     def test_outside_range(self):
@@ -529,6 +534,42 @@ def _richardson_dp(gamma, delta, n):
     return (4 * r2 - r1) / 3
 
 
+_RHO_DPS, _RHO_TERMS = 50, 200
+
+
+@functools.lru_cache(maxsize=None)
+def _rho_piece(k, j):
+    """Taylor coefficients of rho_k about j + 1/2, on the unit piece [j, j + 1].
+
+    rho_0 = 0, rho_k = 1 on [0, k], and u rho_k'(u) = -rho_k(u - 1) +
+    rho_{k-1}(u - 1) above 1 (Knuth and Trabb Pardo, 1976).  With
+    u = c + xi, c = j + 1/2, and b, b' the previous piece's coefficients of
+    rho_k and rho_{k-1}, c (i+1) a_{i+1} + i a_i = -b_i + b'_i; a_0 makes
+    rho_k continuous at xi = -1/2.  The continuation is singular one unit to
+    the left, so the series converges like 3^-i at the piece ends.
+    """
+    zero = [mpmath.mpf(0)] * _RHO_TERMS
+    if k == 0:
+        return tuple(zero)
+    if j + 1 <= k:
+        return tuple([mpmath.mpf(1)] + zero[1:])
+    with mpmath.workdps(_RHO_DPS):
+        b, b1, c = _rho_piece(k, j - 1), _rho_piece(k - 1, j - 1), mpmath.mpf(j) + 0.5
+        a = zero[:]
+        for i in range(_RHO_TERMS - 1):
+            a[i + 1] = (b1[i] - b[i] - i * a[i]) / (c * (i + 1))
+        a[0] = mpmath.polyval(b[::-1], 0.5) - mpmath.polyval(a[::-1], -0.5)
+        return tuple(a)
+
+
+def _rho(k, u):
+    """rho_k(u) at 50 digits: P(the k-th longest cycle is shorter than n/u) as n grows."""
+    with mpmath.workdps(_RHO_DPS):
+        u = mpmath.mpf(u)
+        j = int(mpmath.floor(u))
+        return mpmath.polyval(_rho_piece(k, j)[::-1], u - j - 0.5)
+
+
 class TestPLimit:
     def test_quarter_to_third_matches_quasi_poisson(self):
         from cyclewindow.quasi_poisson import qp_pmf
@@ -700,6 +741,24 @@ class TestPLimit:
         got = p_limit(Interval(Fraction(1, k), 1)).as_floats()[0]
         assert abs(got - self._RHO[k]) <= 1e-15
 
+    def test_rho_oracle_matches_dickman(self):
+        with mpmath.workdps(_RHO_DPS):
+            assert abs(_rho(1, 2) - (1 - mpmath.log(2))) < 1e-45
+        for k in sorted(self._RHO):
+            assert abs(_rho(1, k) - self._RHO[k]) <= 1e-16 * self._RHO[k]
+
+    @pytest.mark.parametrize("f", [0.05, 0.37, 0.8])
+    @pytest.mark.parametrize("k", range(2, 31))
+    def test_window_to_one_matches_the_rho_oracle(self, k, f):
+        # on (gamma, 1], X <= j exactly when the (j+1)-th longest cycle is
+        # shorter than gamma n, so P(X = j) = rho_{j+1}(1/gamma) - rho_j(1/gamma)
+        iv = Interval(1 / (k + f), 1)
+        got = p_limit(iv).as_floats()
+        u = 1 / mpmath.mpf(iv.g)
+        assert len(got) == k + 1
+        for j, p in enumerate(got):
+            assert abs(p - (_rho(j + 1, u) - _rho(j, u))) <= 1e-14, j
+
     def test_deep_window_box_moments(self):
         # gamma near 1/20, delta near 1/10: support 20, 18 nested levels.
         # While r * delta <= 1 the slice never binds, so q_r = log(delta/gamma)^r.
@@ -737,6 +796,7 @@ class TestGammaStar:
     def test_value(self):
         assert gamma_star() == pytest.approx(GAMMA_STAR, abs=1e-12)
         assert gamma_star() == pytest.approx(0.37754066879814544, abs=1e-12)
+        assert gamma_star() == 1 / (1 + math.sqrt(math.e))
 
     def test_above_inverse_e(self):
         assert gamma_star() > math.exp(-1)

@@ -196,9 +196,9 @@ class TestIntegrateMany:
                                     self.BRKS)
         assert vals.shape == errs.shape == (len(self.LOS),)
         for i, (lo, hi, brks) in enumerate(zip(self.LOS, self.HIS, self.BRKS)):
+            # the same bits: an integral's panels are summed alike in any batch
             want, want_err = integrate(_scalar_integrand(i), lo, hi, tol, brks)
-            assert abs(vals[i] - want) <= 1e-15 * max(1.0, abs(want))
-            assert abs(errs[i] - want_err) <= 1e-15 * max(1.0, abs(want))
+            assert (vals[i].hex(), errs[i].hex()) == (want.hex(), want_err.hex())
 
     def test_empty_entries_are_zero(self):
         vals, errs = integrate_many(_batch_integrand, [0.0, 1.0, 3.0],
