@@ -21,7 +21,7 @@ from .quasi_poisson import Pmf
 
 RATIONAL_LIMIT = 200
 DP_TABLE_MAX_BYTES = 1 << 28  # exact_pmf refuses larger tables
-MOMENT_MAX_WORK = 4 * 10**9  # word operations; exact_falling_moment refuses more
+MOMENT_MAX_WORK = 12 * 10**8  # word operations, about 2 s; exact_falling_moment refuses more
 
 
 @dataclass(frozen=True)

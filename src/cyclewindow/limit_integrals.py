@@ -6,9 +6,12 @@ moment of the limit is the integral of 1/(z_1 ... z_r) over the box
 [gamma, delta]^r sliced by z_1 + ... + z_r <= 1.  The slice integrals of all
 orders come from one ladder of levels, each a piecewise-Chebyshev
 antiderivative of the level below; a caller that reads only the top order at
-one slice integrates it in place, with no table.  The companion one-parameter recurrence
-for windows (gamma, 1] stays iterated adaptive quadrature, an oracle that
-shares no table with the ladder.
+one slice integrates it in place, with no table.  p_limit inverts those
+moments, except on windows (gamma, 1] of support 5 or more: there it solves
+the pmf's own delay equation by steps on pieces of width gamma, with no
+table and no inversion.  The companion one-parameter recurrence for windows
+(gamma, 1] stays iterated adaptive quadrature, an oracle that shares no table
+with the ladder.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
 from .errors import DomainError, require_int
 from .quadrature import (
-    _BND_EPS, _antiderivative, _dedupe, _integral, _interp_pieces, _PiecewiseCheb,
-    integrate, integrate_many,
+    _BND_EPS, _CHEB_DEG, _CHEB_FIT, _CHEB_INTEG, _CHEB_PTS, _CHEB_QUAD, _antiderivative,
+    _dedupe, _integral, _interp_pieces, _PiecewiseCheb, integrate, integrate_many,
 )
-from .quasi_poisson import MomentVector, _is_exact, pmf_from_falling_moments
+from .quasi_poisson import MomentVector, Pmf, _is_exact, pmf_from_falling_moments
 from .special_fn import dilog
 
 __all__ = [
@@ -70,7 +74,11 @@ class Interval:
 # (log(delta/gamma))^m above m*delta.  Its integrand's continuation is
 # singular at (m-1)*gamma, so the pieces are also graded at m*gamma + gamma*2^i.
 
-LADDER_MAX_ORDER = 1000  # (1/1000, 1) peaks at 2e298; (1/1200, 1) overflows float64
+# The one support cap of p_limit, and the order cap of the sliced moments.  On
+# windows (gamma, 1] it caps cost: the steps take about 0.25 s at support 1000.
+# On the ladder it guards overflow, but not tightly: the levels of
+# (1/(k + 0.5), 1) for k = 982..998, and of (1/990.5, 0.9), overflow in _layout.
+LADDER_MAX_ORDER = 1000
 
 
 def _box_moment(m, g, d):
@@ -166,7 +174,8 @@ def sliced_cube_integral(r, iv: Interval, c, with_error=False):
     """Integral of 1/(z_1...z_r) over [gamma, delta]^r cut by sum z_i <= c.
 
     Exactly 0, before any level is built, when r*gamma >= c (the region is
-    empty or degenerate); 1 when r = 0.  Otherwise order r of _moments.
+    empty or degenerate); 1 when r = 0.  Otherwise order r of _moments,
+    clamped at 0.
     with_error also returns its error terms, plus eps times 8*r*|value| and,
     for node rounding, scale = min(c, r*delta), which bounds every node, times
     each integrand's total variation.  Level m's integrand f_m, 2 <= m < r,
@@ -184,6 +193,7 @@ def sliced_cube_integral(r, iv: Interval, c, with_error=False):
         val, low = values[-1], ([0.0, 1.0] + values)[-3]  # I_{r-2}: 1 at r = 2, 0 at r = 1
         variation = 4 * sum(map(abs, values[:-2])) + 5 * r * math.log(iv.d / iv.g) * abs(low)
         err = tail + math.ulp(1.0) * (8 * r * abs(val) + min(c, r * iv.d) / iv.g * variation)
+        val = max(val, 0.0)  # a positive integral: err covers the clamped value too
     return (val, err) if with_error else val
 
 
@@ -297,14 +307,72 @@ def support_bound(gamma):
 
 
 def p_limit(iv: Interval):
-    """Limiting pmf of the window cycle count, supported on {0..floor(1/gamma)}.
+    """Limiting pmf of the window cycle count, supported on {0..r}, r = floor(1/gamma).
 
-    Falling moments q_1..q_r from _moments at the slice 1, inverted to
-    probabilities and renormalized.  Raises DomainError when r > LADDER_MAX_ORDER.
+    Windows (gamma, 1] of support r >= 5 solve their delay equation by steps
+    (_steps_pmf).  Every other window inverts the falling moments q_1..q_r of
+    _moments at the slice 1 (_ladder_pmf).  Raises DomainError when
+    r > LADDER_MAX_ORDER.
     """
     r = support_bound(iv.gamma)
-    values, _ = _moments(r, iv.g, iv.d, 1.0)
+    if r > LADDER_MAX_ORDER:
+        raise DomainError(f"window ({iv.gamma!r}, {iv.delta!r}) has support {r}, past the "
+                          f"ladder's order cap {LADDER_MAX_ORDER}")
+    # Supports 2 and 3 stay on the ladder, whose unbuilt path is as fast or
+    # faster there (60 us against 78 us at gamma = 0.4).  Support 4 stays too,
+    # though the steps take about half its time: the shallow windows keep the
+    # ladder's one table, which the sweep's build-count check pins
+    # (tests/test_bench_hooks.py).
+    if iv.delta == 1 and r >= 5:
+        return _steps_pmf(float(1 / iv.gamma), r)
+    return _ladder_pmf(r, iv.g, iv.d)
+
+
+def _ladder_pmf(r, g, d):
+    """The pmf on {0..r} inverted from _moments at the slice 1."""
+    values, _ = _moments(r, g, d, 1.0)
     return _pmf(values + [0.0] * (r - len(values)))
+
+
+# Node values of a function on a piece to, by column, its antiderivative from
+# the piece's left end at the same nodes (fit, integrate, read back) and, last,
+# its integral: both in the piece's variable on [-1, 1], the integral from
+# _CHEB_QUAD's Fejer column.
+_FEJER = _CHEB_QUAD[:, 0]
+_STEP = np.column_stack((_CHEB_FIT @ _CHEB_INTEG @ chebvander(_CHEB_PTS, _CHEB_DEG + 1).T,
+                         2.0 * _FEJER))
+_LOG_NODES = np.log((3.0 + _CHEB_PTS) / 2.0)  # ln u at the nodes of the piece [1, 2]
+
+
+def _steps_pmf(u_end, r):
+    """The pmf of (gamma, 1], gamma = 1/u_end, on {0..r}, by the method of steps.
+
+    In u = t/gamma, F_j(u) = rho_{j+1}(u) - rho_j(u) (Knuth and Trabb Pardo,
+    Theoret. Comput. Sci. 3, 1976) solves u F_j'(u) = (F_{j-1} - F_j)(u - 1)
+    from F_j = [j = 0] on [0, 1), with F_{-1} = 0, and P_j = F_j(u_end).  On
+    [1, 2], F_0 = 1 - ln u and F_1 = ln u.  On each later piece [p, p + 1]
+    the integrand's shifted values are the last piece's node values, so one
+    product with _STEP gives a step's node values, less the piece's start,
+    and its rise; F_j is 0 below j, so step p fills columns 0..p.  The
+    partial piece [m, u_end] reads the last interpolant at its mapped nodes.
+    Columns above r are dropped; rounding negatives are clamped to 0 and the
+    result renormalized.
+    """
+    m = min(int(u_end), r)
+    f = np.zeros((r + 2, _CHEB_DEG + 1))  # row j + 1: F_j at the last piece's nodes; row 0: F_{-1}
+    end = np.zeros(r + 1)                  # F_j at the last piece's right end
+    f[1], f[2] = 1.0 - _LOG_NODES, _LOG_NODES
+    end[:2] = 1.0 - math.log(2.0), math.log(2.0)
+    for p in range(2, m):
+        # (F_{j-1} - F_j)(u - 1)/u at u = p + (1 + x)/2, halved for the piece's half-width
+        step = (f[:p + 1] - f[1:p + 2]) / (2 * p + 1 + _CHEB_PTS) @ _STEP
+        f[1:p + 2] = end[:p + 1, None] + step[:, :-1]
+        end[:p + 1] += step[:, -1]
+    h = u_end - m
+    shifted = f[:m + 2] @ _CHEB_FIT @ chebvander(h * (1.0 + _CHEB_PTS) - 1.0, _CHEB_DEG).T
+    end[:m + 1] += h * ((shifted[:-1] - shifted[1:]) / (m + h * (1.0 + _CHEB_PTS) / 2.0)) @ _FEJER
+    probs = np.maximum(end, 0.0)
+    return Pmf(tuple((probs / math.fsum(probs.tolist())).tolist()))
 
 
 def _pmf(moments):
@@ -347,7 +415,8 @@ def argmax_p(i, lo, hi):
     """Golden-section argmax over gamma in [lo, hi] of p_limit((gamma, 1))[i].
 
     Assumes (does not verify) unimodality of the objective on [lo, hi];
-    returns the midpoint of a bracket narrower than _ARGMAX_TOL.
+    returns the midpoint of a bracket narrower than _ARGMAX_TOL.  Every
+    point reads the ladder's pmf, on any support.
     """
     if not 0.0 < lo < hi <= 1.0:
         raise DomainError(f"need 0 < lo < hi <= 1, got ({lo}, {hi})")
@@ -355,7 +424,7 @@ def argmax_p(i, lo, hi):
         raise DomainError(f"index {i} outside the support bound for gamma >= {lo}")
 
     def val(g):
-        p = p_limit(Interval(g, 1.0))
+        p = _ladder_pmf(support_bound(g), g, 1.0)
         return p[i] if i < len(p) else 0.0
 
     a, b = float(lo), float(hi)

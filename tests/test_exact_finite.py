@@ -230,9 +230,12 @@ class TestExactFallingMoment:
                     else:
                         assert got == 0
 
-    @pytest.mark.parametrize("n,a,b,r", [(20000, 10, 20000, 2), (100000, 1, 100000, 2)])
+    @pytest.mark.parametrize("n,a,b,r", [(20000, 10, 20000, 2), (100000, 1, 100000, 2),
+                                         (800, 1, 400, 10), (1500, 2, 750, 4),
+                                         (1000, 1, 500, 7), (1000, 2, 1000, 4)])
     def test_oversized_call_is_refused_at_once(self, n, a, b, r):
-        # both ran past 30 s before the work was estimated up front
+        # the first two ran past 30 s before the work was estimated up front;
+        # the last four estimate 3.5e9 to 4.0e9 and took 4 to 7 s when admitted
         t0 = time.perf_counter()
         with pytest.raises(DomainError, match=f"n = {n}, window \\[{a}, {b}\\] and r = {r}"):
             exact_falling_moment(n, IntWindow(a, b), r)

@@ -181,9 +181,10 @@ class TestChoppedLevels:
     @pytest.mark.parametrize("g, d", _DEEP)
     def test_p_limit_tables_store_at_most_24_rows(self, g, d, count_builds):
         # level r-1 of (1/20.3, 1/10.4) peaks at 3.7e-16 and keeps all 34
-        # columns, but p_limit builds no table above order r-2
+        # columns, but p_limit builds no table above order r-2, and none at
+        # all on (1/10.3, 1], which it solves by steps
         p_limit(Interval(g, d))
-        assert len(count_builds) == support_bound(g) - 3
+        assert len(count_builds) == (0 if d == 1 else support_bound(g) - 3)
         for bounds, fn in count_builds:
             assert quadrature._antiderivative(bounds, fn)[0].shape[1] <= 24
 
@@ -312,6 +313,17 @@ class TestSlicedCubeIntegral:
         assert sliced_cube_integral(10**9, Interval(0.5, 1.0), 1.0,
                                     with_error=True) == (0.0, 0.0)
         assert time.perf_counter() - t0 < 0.01
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_top_order_near_rounding_is_clamped_at_zero(self, step):
+        # q_20 on (1/20.3, 1] is 20! P(X = 20), about 1.1e-29; the ladder
+        # reads -5.9e-29 and -5.8e-29 one ulp to either side of 1/20.3
+        g = 1 / 20.3
+        g = math.nextafter(g, g + step) if step else g
+        val, err = sliced_cube_integral(20, Interval(g, 1), 1.0, with_error=True)
+        assert val >= 0.0
+        u = 1 / mpmath.mpf(g)
+        assert err >= abs(val - math.factorial(20) * (_rho(21, u) - _rho(20, u)))
 
     @pytest.mark.parametrize("g, d, c, orders", [
         (0.26, 0.31, 1.0, 3), (Fraction(2, 7), Fraction(1, 3), 1.0, 3),
@@ -602,10 +614,11 @@ class TestPLimit:
                                       (0.22, 1.0), (0.21, 0.6), (0.19, 0.5), (1 / 10.3, 1.0)])
     def test_only_the_levels_below_the_top_are_tables(self, g, d, count_builds):
         # support r with r*delta > 1: orders 2..r-2 are tables, orders r-1
-        # and r are integrated in place, so supports 2 and 3 build none
+        # and r are integrated in place, so supports 2 and 3 build none;
+        # p_limit solves windows (gamma, 1] of support 5 or more by steps, with none
         r = support_bound(g)
         p_limit(Interval(g, d))
-        assert len(count_builds) == max(r - 3, 0)
+        assert len(count_builds) == (0 if d == 1 and r >= 5 else max(r - 3, 0))
         count_builds.clear()
         q_limit(r, Interval(g, d))
         assert len(count_builds) == max(r - 3, 0)
@@ -758,6 +771,53 @@ class TestPLimit:
         assert len(got) == k + 1
         for j, p in enumerate(got):
             assert abs(p - (_rho(j + 1, u) - _rho(j, u))) <= 1e-14, j
+
+    @pytest.mark.parametrize("f", [0.05, 0.37, 0.8])
+    @pytest.mark.parametrize("k", [31, 40, 50, 70, 100])
+    def test_deep_window_to_one_matches_the_rho_oracle(self, k, f):
+        # the steps' route: entries past 30 are below 1e-15 here, so they are
+        # gated by range, and the oracle is built for orders up to 31 only
+        iv = Interval(1 / (k + f), 1)
+        got = p_limit(iv).as_floats()
+        u = 1 / mpmath.mpf(iv.g)
+        assert len(got) == k + 1
+        for j, p in enumerate(got[:31]):
+            assert abs(p - (_rho(j + 1, u) - _rho(j, u))) <= 1e-14, j
+        assert all(0.0 <= p <= 1e-14 for p in got[31:])
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("k", range(4, 13))
+    def test_reciprocal_boundary_matches_the_rho_oracle(self, k, exact):
+        # gamma = 1/k: from k = 5 the steps' last piece is empty or an ulp wide; P_k = 0
+        iv = Interval(Fraction(1, k) if exact else 1 / k, 1)
+        got = p_limit(iv).as_floats()
+        u = mpmath.mpf(k) if exact else 1 / mpmath.mpf(iv.g)
+        assert len(got) == k + 1
+        for j, p in enumerate(got):
+            assert abs(p - (_rho(j + 1, u) - _rho(j, u))) <= 1e-14, j
+
+    @pytest.mark.parametrize("g", [1 / 5.3, 1 / 6.7, 1 / 8.2, 1 / 10.34, 1 / 12.5, 1 / 15.05,
+                                   1 / 17.9, 1 / 20.3])
+    def test_steps_match_the_ladder_moments(self, g):
+        # the steps' pmf against the ladder's q_1..q_4, two engines that
+        # share only the Chebyshev nodes
+        p = p_limit(Interval(g, 1.0))
+        for r in range(1, 5):
+            want = q_limit(r, Interval(g, 1.0))
+            assert abs(falling_moment(p, r) - want) <= 1e-13 * want, r
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [982, 998])
+    def test_support_near_the_cap_does_not_overflow(self, k):
+        # the ladder's levels overflow float64 here; the steps' values lie in
+        # [0, 1], and the mean is the integral of dx/x over (gamma, 1]
+        t0 = time.perf_counter()
+        got = p_limit(Interval(1 / (k + 0.5), 1)).as_floats()
+        assert time.perf_counter() - t0 < 1.0
+        assert len(got) == k + 1
+        assert min(got) >= 0.0
+        assert abs(math.fsum(got) - 1.0) <= 1e-12
+        assert abs(math.fsum(j * p for j, p in enumerate(got)) - math.log(k + 0.5)) <= 1e-12
 
     def test_deep_window_box_moments(self):
         # gamma near 1/20, delta near 1/10: support 20, 18 nested levels.
