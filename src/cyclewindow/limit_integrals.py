@@ -28,7 +28,9 @@ from .quadrature import (
     _BND_EPS, _CHEB_DEG, _CHEB_FIT, _CHEB_INTEG, _CHEB_PTS, _CHEB_QUAD, _antiderivative,
     _dedupe, _integral, _interp_pieces, _PiecewiseCheb, integrate, integrate_many,
 )
-from .quasi_poisson import MomentVector, Pmf, _is_exact, pmf_from_falling_moments
+from .quasi_poisson import (
+    _CLAMP_FLOOR, MomentVector, Pmf, _is_exact, pmf_from_falling_moments,
+)
 from .special_fn import dilog
 
 __all__ = [
@@ -356,7 +358,8 @@ def _steps_pmf(u_end, r):
     and its rise; F_j is 0 below j, so step p fills columns 0..p.  The
     partial piece [m, u_end] reads the last interpolant at its mapped nodes.
     Columns above r are dropped; rounding negatives are clamped to 0 and the
-    result renormalized.
+    result renormalized, and an entry below the inversion's floor raises
+    DomainError, as pmf_from_falling_moments does.
     """
     m = min(int(u_end), r)
     f = np.zeros((r + 2, _CHEB_DEG + 1))  # row j + 1: F_j at the last piece's nodes; row 0: F_{-1}
@@ -371,6 +374,9 @@ def _steps_pmf(u_end, r):
     h = u_end - m
     shifted = f[:m + 2] @ _CHEB_FIT @ chebvander(h * (1.0 + _CHEB_PTS) - 1.0, _CHEB_DEG).T
     end[:m + 1] += h * ((shifted[:-1] - shifted[1:]) / (m + h * (1.0 + _CHEB_PTS) / 2.0)) @ _FEJER
+    if not end.min() >= _CLAMP_FLOOR:  # nan fails too
+        raise DomainError(f"steps on (1/{u_end!r}, 1] give P = {end.min()!r}, below the "
+                          f"rounding floor {_CLAMP_FLOOR}")
     probs = np.maximum(end, 0.0)
     return Pmf(tuple((probs / math.fsum(probs.tolist())).tolist()))
 
@@ -415,8 +421,7 @@ def argmax_p(i, lo, hi):
     """Golden-section argmax over gamma in [lo, hi] of p_limit((gamma, 1))[i].
 
     Assumes (does not verify) unimodality of the objective on [lo, hi];
-    returns the midpoint of a bracket narrower than _ARGMAX_TOL.  Every
-    point reads the ladder's pmf, on any support.
+    returns the midpoint of a bracket narrower than _ARGMAX_TOL.
     """
     if not 0.0 < lo < hi <= 1.0:
         raise DomainError(f"need 0 < lo < hi <= 1, got ({lo}, {hi})")
@@ -424,7 +429,7 @@ def argmax_p(i, lo, hi):
         raise DomainError(f"index {i} outside the support bound for gamma >= {lo}")
 
     def val(g):
-        p = _ladder_pmf(support_bound(g), g, 1.0)
+        p = p_limit(Interval(g, 1.0))
         return p[i] if i < len(p) else 0.0
 
     a, b = float(lo), float(hi)

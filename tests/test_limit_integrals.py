@@ -181,10 +181,15 @@ class TestChoppedLevels:
     @pytest.mark.parametrize("g, d", _DEEP)
     def test_p_limit_tables_store_at_most_24_rows(self, g, d, count_builds):
         # level r-1 of (1/20.3, 1/10.4) peaks at 3.7e-16 and keeps all 34
-        # columns, but p_limit builds no table above order r-2, and none at
-        # all on (1/10.3, 1], which it solves by steps
+        # columns, but p_limit builds no table above order r-2.  p_limit
+        # solves (1/10.3, 1] by steps, with no table, so the ladder's own pmf
+        # builds that window's r-3 tables
+        r = support_bound(g)
         p_limit(Interval(g, d))
-        assert len(count_builds) == (0 if d == 1 else support_bound(g) - 3)
+        if d == 1:
+            assert not count_builds
+            limit_integrals._ladder_pmf(r, g, d)
+        assert len(count_builds) == r - 3
         for bounds, fn in count_builds:
             assert quadrature._antiderivative(bounds, fn)[0].shape[1] <= 24
 
@@ -805,6 +810,13 @@ class TestPLimit:
         for r in range(1, 5):
             want = q_limit(r, Interval(g, 1.0))
             assert abs(falling_moment(p, r) - want) <= 1e-13 * want, r
+
+    def test_steps_below_the_rounding_floor_raise(self, monkeypatch):
+        # a wrong step matrix drives entries far below 0; like the moment
+        # inversion, the steps refuse them rather than clamp them away
+        monkeypatch.setattr(limit_integrals, "_STEP", -limit_integrals._STEP)
+        with pytest.raises(DomainError, match="rounding floor"):
+            p_limit(Interval(1 / 10.3, 1.0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("k", [982, 998])
