@@ -7,11 +7,11 @@ moment of the limit is the integral of 1/(z_1 ... z_r) over the box
 orders come from one ladder of levels, each a piecewise-Chebyshev
 antiderivative of the level below; a caller that reads only the top order at
 one slice integrates it in place, with no table.  p_limit inverts those
-moments, except on windows (gamma, 1] of support 5 or more: there it solves
-the pmf's own delay equation by steps on pieces of width gamma, with no
-table and no inversion.  The companion one-parameter recurrence for windows
-(gamma, 1] stays iterated adaptive quadrature, an oracle that shares no table
-with the ladder.
+moments on windows with delta < 1; on every window (gamma, 1] it solves the
+pmf's own delay equation by steps on pieces of width gamma, with no table and
+no inversion, and argmax_p bisects on that equation's closed-form slope.  The
+companion one-parameter recurrence for windows (gamma, 1] stays iterated
+adaptive quadrature, an oracle that shares no table with the ladder.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
 
 from .errors import DomainError, require_int
 from .quadrature import (
-    _BND_EPS, _CHEB_DEG, _CHEB_FIT, _CHEB_INTEG, _CHEB_PTS, _CHEB_QUAD, _antiderivative,
-    _dedupe, _integral, _interp_pieces, _PiecewiseCheb, integrate, integrate_many,
+    _BND_EPS, _CHEB_DEG, _CHEB_FIT, _CHEB_PTS, _FEJER, _STEP, _antiderivative, _dedupe,
+    _integral, _interp_pieces, _PiecewiseCheb, integrate, integrate_many,
 )
 from .quasi_poisson import (
     _CLAMP_FLOOR, MomentVector, Pmf, _is_exact, pmf_from_falling_moments,
@@ -311,21 +310,15 @@ def support_bound(gamma):
 def p_limit(iv: Interval):
     """Limiting pmf of the window cycle count, supported on {0..r}, r = floor(1/gamma).
 
-    Windows (gamma, 1] of support r >= 5 solve their delay equation by steps
-    (_steps_pmf).  Every other window inverts the falling moments q_1..q_r of
-    _moments at the slice 1 (_ladder_pmf).  Raises DomainError when
-    r > LADDER_MAX_ORDER.
+    Windows (gamma, 1] solve their delay equation by steps (_steps_pmf).
+    Windows with delta < 1 invert the falling moments q_1..q_r of _moments at
+    the slice 1 (_ladder_pmf).  Raises DomainError when r > LADDER_MAX_ORDER.
     """
     r = support_bound(iv.gamma)
     if r > LADDER_MAX_ORDER:
         raise DomainError(f"window ({iv.gamma!r}, {iv.delta!r}) has support {r}, past the "
                           f"ladder's order cap {LADDER_MAX_ORDER}")
-    # Supports 2 and 3 stay on the ladder, whose unbuilt path is as fast or
-    # faster there (60 us against 78 us at gamma = 0.4).  Support 4 stays too,
-    # though the steps take about half its time: the shallow windows keep the
-    # ladder's one table, which the sweep's build-count check pins
-    # (tests/test_bench_hooks.py).
-    if iv.delta == 1 and r >= 5:
+    if iv.delta == 1:
         return _steps_pmf(float(1 / iv.gamma), r)
     return _ladder_pmf(r, iv.g, iv.d)
 
@@ -336,14 +329,7 @@ def _ladder_pmf(r, g, d):
     return _pmf(values + [0.0] * (r - len(values)))
 
 
-# Node values of a function on a piece to, by column, its antiderivative from
-# the piece's left end at the same nodes (fit, integrate, read back) and, last,
-# its integral: both in the piece's variable on [-1, 1], the integral from
-# _CHEB_QUAD's Fejer column.
-_FEJER = _CHEB_QUAD[:, 0]
-_STEP = np.column_stack((_CHEB_FIT @ _CHEB_INTEG @ chebvander(_CHEB_PTS, _CHEB_DEG + 1).T,
-                         2.0 * _FEJER))
-_LOG_NODES = np.log((3.0 + _CHEB_PTS) / 2.0)  # ln u at the nodes of the piece [1, 2]
+_K = np.arange(_CHEB_DEG + 1)  # the degrees k of T_k(y) = cos(k arccos y)
 
 
 def _steps_pmf(u_end, r):
@@ -351,12 +337,12 @@ def _steps_pmf(u_end, r):
 
     In u = t/gamma, F_j(u) = rho_{j+1}(u) - rho_j(u) (Knuth and Trabb Pardo,
     Theoret. Comput. Sci. 3, 1976) solves u F_j'(u) = (F_{j-1} - F_j)(u - 1)
-    from F_j = [j = 0] on [0, 1), with F_{-1} = 0, and P_j = F_j(u_end).  On
-    [1, 2], F_0 = 1 - ln u and F_1 = ln u.  On each later piece [p, p + 1]
-    the integrand's shifted values are the last piece's node values, so one
-    product with _STEP gives a step's node values, less the piece's start,
-    and its rise; F_j is 0 below j, so step p fills columns 0..p.  The
-    partial piece [m, u_end] reads the last interpolant at its mapped nodes.
+    from F_j = [j = 0] on [0, 1], with F_{-1} = 0, and P_j = F_j(u_end).  On
+    each later piece [p, p + 1] the integrand's shifted values are the last
+    piece's node values, so one product with _STEP gives a step's node
+    values, less the piece's start, and its rise; F_j is 0 below j, so step p
+    fills columns 0..p.  The partial piece [m, u_end] reads the last
+    interpolant at its mapped points y as T_k(y) = cos(k arccos y).
     Columns above r are dropped; rounding negatives are clamped to 0 and the
     result renormalized, and an entry below the inversion's floor raises
     DomainError, as pmf_from_falling_moments does.
@@ -364,15 +350,15 @@ def _steps_pmf(u_end, r):
     m = min(int(u_end), r)
     f = np.zeros((r + 2, _CHEB_DEG + 1))  # row j + 1: F_j at the last piece's nodes; row 0: F_{-1}
     end = np.zeros(r + 1)                  # F_j at the last piece's right end
-    f[1], f[2] = 1.0 - _LOG_NODES, _LOG_NODES
-    end[:2] = 1.0 - math.log(2.0), math.log(2.0)
-    for p in range(2, m):
+    f[1], end[0] = 1.0, 1.0
+    for p in range(1, m):
         # (F_{j-1} - F_j)(u - 1)/u at u = p + (1 + x)/2, halved for the piece's half-width
         step = (f[:p + 1] - f[1:p + 2]) / (2 * p + 1 + _CHEB_PTS) @ _STEP
         f[1:p + 2] = end[:p + 1, None] + step[:, :-1]
         end[:p + 1] += step[:, -1]
     h = u_end - m
-    shifted = f[:m + 2] @ _CHEB_FIT @ chebvander(h * (1.0 + _CHEB_PTS) - 1.0, _CHEB_DEG).T
+    y = h * (1.0 + _CHEB_PTS) - 1.0  # the partial piece's nodes, shifted into the last piece
+    shifted = f[:m + 2] @ _CHEB_FIT @ np.cos(np.outer(np.arccos(y), _K)).T
     end[:m + 1] += h * ((shifted[:-1] - shifted[1:]) / (m + h * (1.0 + _CHEB_PTS) / 2.0)) @ _FEJER
     if not end.min() >= _CLAMP_FLOOR:  # nan fails too
         raise DomainError(f"steps on (1/{u_end!r}, 1] give P = {end.min()!r}, below the "
@@ -398,54 +384,52 @@ def p1_derivative(gamma):
     return (-1.0 + 2.0 * (math.log1p(-g) - math.log(g))) / g
 
 
-def gamma_star():
-    """The gamma in (1/3, 1/2) maximizing the one-cycle probability of (gamma, 1].
+def _bisect(slope, lo, hi):
+    """The point of (lo, hi) where slope turns from positive to not, by bisection.
 
-    Bisection on the sign of p1_derivative, until the midpoint is no longer
-    strictly inside the bracket; closed form 1/(1+sqrt(e)).
+    Halves the bracket until its midpoint is no longer strictly inside it.
     """
-    lo, hi = 1 / 3 + 1e-9, 0.5 - 1e-9  # p1_derivative > 0 at lo, < 0 at hi
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if p1_derivative(mid) > 0:
+        if slope(mid) > 0:
             lo = mid
         else:
             hi = mid
     return mid
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_ARGMAX_TOL = 1e-7  # argmax_p's bracket width on exit
+def gamma_star():
+    """The gamma in (1/3, 1/2) maximizing the one-cycle probability of (gamma, 1].
+
+    _bisect on the sign of p1_derivative; closed form 1/(1+sqrt(e)).
+    """
+    return _bisect(p1_derivative, 1 / 3 + 1e-9, 0.5 - 1e-9)  # > 0 at lo, < 0 at hi
+
+
+def _p_slope(i, gamma):
+    """d/dgamma of p_limit((gamma, 1))[i], in closed form from one p_limit.
+
+    P_i(gamma) = F_i(1/gamma), and the delay equation of _steps_pmf gives
+    P_i'(gamma) = [P_i(g') - P_{i-1}(g')]/gamma, g' = gamma/(1 - gamma), the
+    pmf of (g', 1], or [1, 0, ...] when g' >= 1; P_{-1} = 0.  On (1/3, 1/2) at
+    i = 1 this is p1_derivative.
+    """
+    g = gamma / (1.0 - gamma)
+    p = (0.0,) + (p_limit(Interval(g, 1.0)).probs if g < 1.0 else (1.0,)) + (0.0,) * (i + 1)
+    return (p[i + 1] - p[i]) / gamma
 
 
 def argmax_p(i, lo, hi):
-    """Golden-section argmax over gamma in [lo, hi] of p_limit((gamma, 1))[i].
+    """Argmax over gamma in [lo, hi] of p_limit((gamma, 1))[i].
 
-    Assumes (does not verify) unimodality of the objective on [lo, hi];
-    returns the midpoint of a bracket narrower than _ARGMAX_TOL.
+    _bisect on the sign of _p_slope, to rounding.  Assumes (does not verify)
+    unimodality of the objective on [lo, hi]; a monotone objective gives the
+    end it rises to.
     """
     if not 0.0 < lo < hi <= 1.0:
         raise DomainError(f"need 0 < lo < hi <= 1, got ({lo}, {hi})")
     if i < 0 or i > support_bound(lo):
         raise DomainError(f"index {i} outside the support bound for gamma >= {lo}")
-
-    def val(g):
-        p = p_limit(Interval(g, 1.0))
-        return p[i] if i < len(p) else 0.0
-
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = val(c), val(d)
-    while b - a > _ARGMAX_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = val(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = val(d)
-    return 0.5 * (a + b)
+    return _bisect(lambda g: _p_slope(i, g), float(lo), float(hi))
 
 
 def small_simplex_ratio(k, gamma):

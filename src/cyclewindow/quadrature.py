@@ -31,7 +31,9 @@ about eps*max|f|, while evaluation has numpy's bits.
 _antiderivative integrates a function on every piece at once, with one matrix
 product and one cumsum, chopping columns below rounding: the method of steps
 for delay equations (Bellman and Cooke, Differential-Difference Equations,
-1963) behind the limit ladder and the Buchstab function.
+1963) behind the limit ladder.  _STEP takes one such step on one piece whose
+integrand is the previous piece's node values, as the steps of the limit pmf
+and the Buchstab function do.
 _integral gives only totals, with no table: on the same nodes, Fejer's
 first rule (Fejer, 1933; Trefethen, SIAM Review 50, 2008) is one product
 with a fixed matrix, for a stack of integrands read in one call.
@@ -274,6 +276,13 @@ _CHEB_FIT = (chebvander(_CHEB_PTS, _CHEB_DEG) * np.r_[1.0, np.full(_CHEB_DEG, 2.
 # (Fejer's first-rule weights: each T_k's integral through _CHEB_FIT) and
 # the interpolant's last two coefficients, c_31 and c_32
 _CHEB_QUAD = np.column_stack((_CHEB_FIT @ _CHEB_INTEG.sum(axis=1) / 2.0, _CHEB_FIT[:, -2:]))
+_FEJER = _CHEB_QUAD[:, 0]
+# node values of a function on a piece to, by column, its antiderivative from
+# the piece's left end at the same nodes (fit, integrate, read back) and, last,
+# its integral, both in the piece's variable on [-1, 1]: one step of the
+# method of steps when the function is the previous piece's node values
+_STEP = np.column_stack((_CHEB_FIT @ _CHEB_INTEG @ chebvander(_CHEB_PTS, _CHEB_DEG + 1).T,
+                         2.0 * _FEJER))
 
 
 class _PiecewiseCheb:
@@ -352,8 +361,8 @@ def _interp_pieces(bounds, fn):
     return np.reshape(fn(nodes.ravel()), nodes.shape) @ _CHEB_FIT
 
 
-def _antiderivative(bounds, fn, start=0.0):
-    """Running integral F of fn over the pieces of bounds, F(bounds[0]) = start.
+def _antiderivative(bounds, fn):
+    """Running integral F of fn over the pieces of bounds, F(bounds[0]) = 0.
 
     Returns (coef, tail): F's Chebyshev coefficients, one row per piece, and
     per piece (b - a)(|c_31| + |c_32|) from the last two coefficients of fn's
@@ -367,7 +376,7 @@ def _antiderivative(bounds, fn, start=0.0):
     width = np.diff(np.asarray(bounds, dtype=float))
     anti = coef @ _CHEB_INTEG * (0.5 * width)[:, None]
     rise = anti.sum(axis=1)  # F's rise over each piece: every T_k is 1 at +1
-    anti[:, 0] += start + np.concatenate(([0.0], np.cumsum(rise[:-1])))
+    anti[:, 0] += np.concatenate(([0.0], np.cumsum(rise[:-1])))
     # mass[j]: the sum of the last j + 1 columns' largest |coefficient|
     mass = np.abs(anti).max(axis=0)[::-1].cumsum()
     drop = min(int(np.count_nonzero(mass <= _EPS * mass[-1])), mass.size - 2)

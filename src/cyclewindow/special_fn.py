@@ -6,8 +6,10 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .quadrature import _antiderivative, _PiecewiseCheb, integrate_simpson
+from .quadrature import _CHEB_PTS, _STEP, _antiderivative, _PiecewiseCheb, integrate_simpson
 
 _PI2_6 = math.pi * math.pi / 6.0
 
@@ -68,7 +70,9 @@ def dilog(x):
 #
 # F(u) = u*omega(u) is 1 on [1, 2] and F(u) = F(m) + int_m^u F(s-1)/(s-1) ds
 # on [m, m+1]: each unit piece is one antiderivative of the piece before it,
-# the method of steps.  The table is built once, on the first call.
+# the method of steps.  A shift by 1 maps a piece's Chebyshev nodes onto the
+# previous piece's, so a step is one product of node values with _STEP, as in
+# limit_integrals._steps_pmf.  The table is built once, on the first call.
 
 # The tabulated omega(u) is within 1e-14 of its limit e^{-euler_gamma} for
 # every u in [12, 60], so omega is taken constant past this point; the table
@@ -79,17 +83,18 @@ _U_CLAMP = 30.0
 @functools.cache
 def _buchstab_table():
     """F(u) = u*omega(u) as Chebyshev pieces on [m, m+1], m = 2.._U_CLAMP-1."""
-    prev = _PiecewiseCheb([1.0, 2.0], [[1.0, 0.0]], None, None)  # F = 1 on [1, 2]
-    rows = []
+    slopes, prev, end = [], np.ones(_CHEB_PTS.size), 1.0  # F = 1 on [1, 2]
     for m in range(2, int(_U_CLAMP)):
-        coef, _ = _antiderivative([m, m + 1.0], lambda s, f=prev: f(s - 1.0) / (s - 1.0),
-                                  prev.end())
-        prev = _PiecewiseCheb([m, m + 1.0], coef, None, None)
-        rows.append(coef[0])
-    # chopped rows differ in length; trailing zeros leave Clenshaw's bits as they are
-    width = max(map(len, rows))
-    rows = [list(row) + [0.0] * (width - len(row)) for row in rows]
-    return _PiecewiseCheb(range(2, int(_U_CLAMP) + 1), rows, None, None)
+        # F(s - 1)/(s - 1) at s = m + (1 + x)/2, halved for the piece's half-width
+        slopes.append(prev / (2 * m - 1 + _CHEB_PTS))
+        step = slopes[-1] @ _STEP
+        prev, end = end + step[:-1], end + step[-1]
+    # F(2) = 1 plus the running integral of the slopes' interpolants, from
+    # node values already in hand (unhalved for _antiderivative's piece width)
+    bounds = range(2, int(_U_CLAMP) + 1)
+    coef, _ = _antiderivative(bounds, lambda s: 2.0 * np.concatenate(slopes))
+    coef[:, 0] += 1.0
+    return _PiecewiseCheb(bounds, coef, None, None)
 
 
 def buchstab(u):

@@ -82,24 +82,30 @@ def test_limit_workload_checks_pass(workload):
 
 
 def test_limit_sweep_windows_build_below_the_top_and_read_closed_forms(monkeypatch):
-    # every sweep window builds tables for orders 2..r-2 only (none when the
-    # box lies under the slice), and each order the ladder reads as
-    # ln(delta/gamma)^m, level 1 among them, has the full ladder's bits
+    # every delta = 1 sweep window takes the steps once and builds no table;
+    # every delta < 1 window builds tables for orders 2..r-2 only (none when
+    # the box lies under the slice); and on every window each order the
+    # ladder reads as ln(delta/gamma)^m, level 1 among them, has the full
+    # ladder's bits
     workloads = _load("workloads")
-    windows, builds, p_limit = [], [], limit_integrals.p_limit
+    windows, builds, steps, p_limit = [], [], [], limit_integrals.p_limit
     monkeypatch.setattr(limit_integrals, "p_limit", lambda iv: windows.append(iv) or p_limit(iv))
     for op in workloads.limit_sweep(workloads.DEFAULT_SEED).ops:
         if op.fn == "p_limit":
             op.call()
     assert len(windows) == workloads.SWEEP_WINDOWS
-    build = limit_integrals._antiderivative
+    build, step = limit_integrals._antiderivative, limit_integrals._steps_pmf
     monkeypatch.setattr(limit_integrals, "_antiderivative",
                         lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(limit_integrals, "_steps_pmf",
+                        lambda *args: steps.append(args) or step(*args))
     for iv in windows:
         g, d, r = iv.g, iv.d, limit_integrals.support_bound(iv.gamma)
         builds.clear()
+        steps.clear()
         p_limit(iv)
-        assert len(builds) == (0 if r * d <= 1 else max(r - 3, 0)), iv
+        ladder_builds = 0 if r * d <= 1 else max(r - 3, 0)
+        assert (len(builds), len(steps)) == ((0, 1) if d == 1 else (ladder_builds, 0)), iv
         values, _ = limit_integrals._moments(r, g, d, 1.0)
         levels, _ = limit_integrals._ladder(r, g, d, 1.0)
         for m in range(1, len(values) + 1):

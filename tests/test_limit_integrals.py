@@ -617,13 +617,16 @@ class TestPLimit:
 
     @pytest.mark.parametrize("g, d", [(0.4, 1.0), (0.45, 0.8), (0.3, 1.0), (0.3, 0.7),
                                       (0.22, 1.0), (0.21, 0.6), (0.19, 0.5), (1 / 10.3, 1.0)])
-    def test_only_the_levels_below_the_top_are_tables(self, g, d, count_builds):
+    def test_only_the_levels_below_the_top_are_tables(self, g, d, count_builds, monkeypatch):
         # support r with r*delta > 1: orders 2..r-2 are tables, orders r-1
         # and r are integrated in place, so supports 2 and 3 build none;
-        # p_limit solves windows (gamma, 1] of support 5 or more by steps, with none
+        # p_limit solves every window (gamma, 1] by one call of the steps, with none
+        steps, step = [], limit_integrals._steps_pmf
+        monkeypatch.setattr(limit_integrals, "_steps_pmf",
+                            lambda *args: steps.append(args) or step(*args))
         r = support_bound(g)
         p_limit(Interval(g, d))
-        assert len(count_builds) == (0 if d == 1 and r >= 5 else max(r - 3, 0))
+        assert (len(count_builds), len(steps)) == ((0, 1) if d == 1 else (max(r - 3, 0), 0))
         count_builds.clear()
         q_limit(r, Interval(g, d))
         assert len(count_builds) == max(r - 3, 0)
@@ -811,6 +814,17 @@ class TestPLimit:
             want = q_limit(r, Interval(g, 1.0))
             assert abs(falling_moment(p, r) - want) <= 1e-13 * want, r
 
+    @pytest.mark.parametrize("g", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), 0.6, 0.75,
+                                   0.99, 0.45, 0.3, 0.22, 1 / 3.9, 1 / 4.5])
+    def test_steps_match_the_ladder_at_supports_1_to_4(self, g):
+        # from the constant piece [0, 1], with no closed-form start: the
+        # ladder's inverted moments, entry by entry
+        r = support_bound(g)
+        got = p_limit(Interval(g, 1)).as_floats()
+        want = limit_integrals._ladder_pmf(r, float(g), 1.0).as_floats()
+        assert 1 <= r <= 4 and len(got) == len(want) == r + 1
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
+
     def test_steps_below_the_rounding_floor_raise(self, monkeypatch):
         # a wrong step matrix drives entries far below 0; like the moment
         # inversion, the steps refuse them rather than clamp them away
@@ -864,6 +878,20 @@ class TestP1Derivative:
                 p1_derivative(bad)
 
 
+class TestPSlope:
+    @pytest.mark.parametrize("g, i", [(0.4, 1), (0.2, 1), (0.2, 2), (0.13, 0), (0.13, 3),
+                                      (0.07, 4), (0.6, 0), (0.6, 1)])
+    def test_matches_central_differences(self, g, i):
+        # at 0.6, g' = 1.5 >= 1: the pmf of (g', 1] is read as [1, 0, ...]
+        h = 1e-5
+        p = lambda x: p_limit(Interval(x, 1.0))[i]
+        assert abs(limit_integrals._p_slope(i, g) - (p(g + h) - p(g - h)) / (2 * h)) <= 1e-7
+
+    @pytest.mark.parametrize("g", [0.34, 0.4, 0.45, 0.49])
+    def test_is_p1_derivative_on_the_third_to_half(self, g):
+        assert limit_integrals._p_slope(1, g) == pytest.approx(p1_derivative(g), abs=1e-14)
+
+
 class TestGammaStar:
     def test_value(self):
         assert gamma_star() == pytest.approx(GAMMA_STAR, abs=1e-12)
@@ -882,6 +910,9 @@ class TestArgmaxP:
     def test_single_cycle_peak(self):
         got = argmax_p(1, 1 / 3, 0.5)
         assert got == pytest.approx(GAMMA_STAR, abs=1e-5)
+
+    def test_benchmark_bracket_lands_on_gamma_star(self):
+        assert abs(argmax_p(1, 0.34, 0.49) - gamma_star()) <= 1e-12
 
     def test_zero_cycles_maximized_at_right_edge(self):
         assert argmax_p(0, 0.5, 1.0) >= 1.0 - 1e-6
