@@ -7,9 +7,10 @@ moment of the limit is the integral of 1/(z_1 ... z_r) over the box
 orders come from one ladder of levels, each a piecewise-Chebyshev
 antiderivative of the level below; a caller that reads only the top order at
 one slice integrates it in place, with no table.  p_limit inverts those
-moments on windows with delta < 1; on every window (gamma, 1] it solves the
-pmf's own delay equation by steps on pieces of width gamma, with no table and
-no inversion, and argmax_p bisects on that equation's closed-form slope.  The
+moments on windows with delta < 1.  Every window (gamma, 1] is one delay
+equation in u = 1/gamma, solved by steps on unit pieces with no table and no
+inversion: p_limit reads it at one u, the figure's rows at many u in one
+pass, and argmax_p bisects on its closed-form slope.  The
 companion one-parameter recurrence for windows (gamma, 1] stays iterated
 adaptive quadrature, an oracle that shares no table with the ladder.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, require_int
 from .quadrature import (
-    _BND_EPS, _CHEB_DEG, _CHEB_FIT, _CHEB_PTS, _FEJER, _STEP, _antiderivative, _dedupe,
+    _BND_EPS, _CHEB_ANTI, _CHEB_DEG, _CHEB_PTS, _STEP, _antiderivative, _dedupe,
     _integral, _interp_pieces, _PiecewiseCheb, integrate, integrate_many,
 )
 from .quasi_poisson import (
@@ -319,58 +320,57 @@ def p_limit(iv: Interval):
         raise DomainError(f"window ({iv.gamma!r}, {iv.delta!r}) has support {r}, past the "
                           f"ladder's order cap {LADDER_MAX_ORDER}")
     if iv.delta == 1:
-        return _steps_pmf(float(1 / iv.gamma), r)
+        return Pmf(tuple(_steps_pmf([float(1 / iv.gamma)], r)[0].tolist()))
     return _ladder_pmf(r, iv.g, iv.d)
 
 
 def _ladder_pmf(r, g, d):
-    """The pmf on {0..r} inverted from _moments at the slice 1."""
+    """The pmf on {0..r} inverted from _moments at the slice 1; negative moments read as 0."""
     values, _ = _moments(r, g, d, 1.0)
-    return _pmf(values + [0.0] * (r - len(values)))
+    q = [1.0] + [max(v, 0.0) for v in values] + [0.0] * (r - len(values))
+    return pmf_from_falling_moments(MomentVector(tuple(q)))
 
 
-_K = np.arange(_CHEB_DEG + 1)  # the degrees k of T_k(y) = cos(k arccos y)
+_K = np.arange(_CHEB_DEG + 2)  # the degrees k of T_k(y) = cos(k arccos y) in an antiderivative
 
 
-def _steps_pmf(u_end, r):
-    """The pmf of (gamma, 1], gamma = 1/u_end, on {0..r}, by the method of steps.
+def _steps_pmf(u, r):
+    """The pmfs of (1/u, 1] on {0..r}, a row for each u >= 1 of an array, from one pass of steps.
 
     In u = t/gamma, F_j(u) = rho_{j+1}(u) - rho_j(u) (Knuth and Trabb Pardo,
     Theoret. Comput. Sci. 3, 1976) solves u F_j'(u) = (F_{j-1} - F_j)(u - 1)
-    from F_j = [j = 0] on [0, 1], with F_{-1} = 0, and P_j = F_j(u_end).  On
-    each later piece [p, p + 1] the integrand's shifted values are the last
-    piece's node values, so one product with _STEP gives a step's node
-    values, less the piece's start, and its rise; F_j is 0 below j, so step p
-    fills columns 0..p.  The partial piece [m, u_end] reads the last
-    interpolant at its mapped points y as T_k(y) = cos(k arccos y).
-    Columns above r are dropped; rounding negatives are clamped to 0 and the
-    result renormalized, and an entry below the inversion's floor raises
+    from F_j = [j = 0] on [0, 1], with F_{-1} = 0, and P_j = F_j(u).  On each
+    later piece [p, p + 1], F_j is 0 below j, and the integrand's node values
+    g come from the last piece's: a point p + h reads F at p plus g's
+    antiderivative (_CHEB_ANTI) at T_k(2h - 1), and one product with _STEP
+    gives the piece's node values, less F at p, and its rise.  Columns above r
+    are dropped; rounding negatives are clamped to 0 and each row
+    renormalized, and an entry below the inversion's floor raises
     DomainError, as pmf_from_falling_moments does.
     """
-    m = min(int(u_end), r)
+    u = np.asarray(u, dtype=float)
+    piece = np.minimum(u.astype(int), r)
+    t = np.cos(np.outer(np.arccos(2.0 * (u - piece) - 1.0), _K))
+    out = np.zeros((u.size, r + 1))
     f = np.zeros((r + 2, _CHEB_DEG + 1))  # row j + 1: F_j at the last piece's nodes; row 0: F_{-1}
     end = np.zeros(r + 1)                  # F_j at the last piece's right end
-    f[1], end[0] = 1.0, 1.0
-    for p in range(1, m):
+    f[1], end[0], reads = 1.0, 1.0, set(piece.tolist())
+    for p in range(1, (last := max(reads)) + 1):
         # (F_{j-1} - F_j)(u - 1)/u at u = p + (1 + x)/2, halved for the piece's half-width
-        step = (f[:p + 1] - f[1:p + 2]) / (2 * p + 1 + _CHEB_PTS) @ _STEP
-        f[1:p + 2] = end[:p + 1, None] + step[:, :-1]
-        end[:p + 1] += step[:, -1]
-    h = u_end - m
-    y = h * (1.0 + _CHEB_PTS) - 1.0  # the partial piece's nodes, shifted into the last piece
-    shifted = f[:m + 2] @ _CHEB_FIT @ np.cos(np.outer(np.arccos(y), _K)).T
-    end[:m + 1] += h * ((shifted[:-1] - shifted[1:]) / (m + h * (1.0 + _CHEB_PTS) / 2.0)) @ _FEJER
-    if not end.min() >= _CLAMP_FLOOR:  # nan fails too
-        raise DomainError(f"steps on (1/{u_end!r}, 1] give P = {end.min()!r}, below the "
-                          f"rounding floor {_CLAMP_FLOOR}")
-    probs = np.maximum(end, 0.0)
-    return Pmf(tuple((probs / math.fsum(probs.tolist())).tolist()))
-
-
-def _pmf(moments):
-    """The pmf with falling moments 1, moments...; negative moments read as 0."""
-    q = [1.0] + [max(v, 0.0) for v in moments]
-    return pmf_from_falling_moments(MomentVector(tuple(q)))
+        g = (f[:p + 1] - f[1:p + 2]) / (2 * p + 1 + _CHEB_PTS)
+        if p in reads:
+            at = piece == p
+            out[at, :p + 1] = end[:p + 1] + t[at] @ (g @ _CHEB_ANTI).T
+        if p < last:
+            step = g @ _STEP
+            f[1:p + 2] = end[:p + 1, None] + step[:, :-1]
+            end[:p + 1] += step[:, -1]
+    if not (low := out.min(axis=1)).min() >= _CLAMP_FLOOR:  # nan fails too
+        i = int(np.argmin(low))
+        raise DomainError(f"steps on (1/{float(u[i])!r}, 1] give P = {float(low[i])!r}, below "
+                          f"the rounding floor {_CLAMP_FLOOR}")
+    probs = np.maximum(out, 0.0)
+    return probs / np.array([[math.fsum(row)] for row in probs.tolist()])
 
 
 def p1_derivative(gamma):

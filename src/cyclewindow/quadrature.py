@@ -276,13 +276,14 @@ _CHEB_FIT = (chebvander(_CHEB_PTS, _CHEB_DEG) * np.r_[1.0, np.full(_CHEB_DEG, 2.
 # (Fejer's first-rule weights: each T_k's integral through _CHEB_FIT) and
 # the interpolant's last two coefficients, c_31 and c_32
 _CHEB_QUAD = np.column_stack((_CHEB_FIT @ _CHEB_INTEG.sum(axis=1) / 2.0, _CHEB_FIT[:, -2:]))
-_FEJER = _CHEB_QUAD[:, 0]
-# node values of a function on a piece to, by column, its antiderivative from
-# the piece's left end at the same nodes (fit, integrate, read back) and, last,
-# its integral, both in the piece's variable on [-1, 1]: one step of the
-# method of steps when the function is the previous piece's node values
-_STEP = np.column_stack((_CHEB_FIT @ _CHEB_INTEG @ chebvander(_CHEB_PTS, _CHEB_DEG + 1).T,
-                         2.0 * _FEJER))
+# node values of a function on a piece to the Chebyshev coefficients of its
+# interpolant's antiderivative from the piece's left end, in the piece's variable
+_CHEB_ANTI = _CHEB_FIT @ _CHEB_INTEG
+# the same to, by column, that antiderivative at the same nodes and, last, the
+# function's integral over the piece: one step of the method of steps when the
+# function is the previous piece's node values
+_STEP = np.column_stack((_CHEB_ANTI @ chebvander(_CHEB_PTS, _CHEB_DEG + 1).T,
+                         2.0 * _CHEB_QUAD[:, 0]))
 
 
 class _PiecewiseCheb:

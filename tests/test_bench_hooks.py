@@ -112,3 +112,19 @@ def test_limit_sweep_windows_build_below_the_top_and_read_closed_forms(monkeypat
             if m * d <= 1:
                 closed = limit_integrals._box_moment(m, g, d).hex()
                 assert values[m - 1].hex() == closed == float(levels[m - 1](1.0)).hex(), (iv, m)
+
+
+def test_limit_sweep_figure_builds_no_table(monkeypatch):
+    # the figure's 400 rows are one pass of the steps: no ladder table is
+    # built and no moment is inverted
+    workloads = _load("workloads")
+    (figure,) = [op for op in workloads.limit_sweep(workloads.DEFAULT_SEED).ops
+                 if op.fn == "emit_figure_data"]
+    calls = []
+    for name in ("_antiderivative", "pmf_from_falling_moments"):
+        fn = getattr(limit_integrals, name)
+        monkeypatch.setattr(limit_integrals, name,
+                            lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
+    rows = figure.call()
+    assert len(rows) == 400 and figure.check(rows) is None
+    assert calls == []

@@ -204,22 +204,32 @@ class TestFigure:
                 p_limit(Interval(g, 1.0)).as_floats() + (0.0,) * 2)
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15, g
 
-    def test_one_ladder_and_no_p_limit(self, monkeypatch):
-        builds = []
-        antiderivative = limit_integrals._antiderivative
-
-        def counted(*args, **kwargs):
-            builds.append(args[0])
-            return antiderivative(*args, **kwargs)
+    def test_one_steps_pass_and_no_ladder_or_p_limit(self, monkeypatch):
+        # every row is read off one pass of the steps: no table is built, no
+        # moment is inverted and p_limit is never called
+        steps, step = [], cli._steps_pmf
 
         def boom(*args, **kwargs):
-            raise AssertionError("p_limit called")
+            raise AssertionError("called")
 
-        monkeypatch.setattr(limit_integrals, "_antiderivative", counted)
-        monkeypatch.setattr(limit_integrals, "p_limit", boom)
-        monkeypatch.setattr(cli, "p_limit", boom)
+        for module, name in [(limit_integrals, "_antiderivative"), (limit_integrals, "_ladder"),
+                             (limit_integrals, "pmf_from_falling_moments"),
+                             (limit_integrals, "p_limit"), (cli, "p_limit")]:
+            monkeypatch.setattr(module, name, boom)
+        monkeypatch.setattr(cli, "_steps_pmf", lambda *args: steps.append(args) or step(*args))
         assert len(emit_figure_data(0.34, 1.0, 400)) == 400
-        assert len(builds) <= 2
+        assert len(steps) == 1 and len(steps[0][0]) == 400
+
+    def test_rows_match_the_closed_form(self):
+        # on (gamma, 1] with 1/3 <= gamma <= 1/2: q1 = -ln gamma, q2 from the
+        # dilogarithm closed form and q3 = 0, so P2 = q2/2, P1 = q1 - q2 and
+        # P0 = 1 - q1 + q2/2; a route that shares no code with the steps
+        rows = emit_figure_data(1 / 3, 0.5, 2000)
+        assert len(rows) == 2000
+        for g, p0, p1, p2 in rows:
+            q1, q2 = -math.log(g), limit_integrals.q2_closed_form(Interval(g, 1.0))
+            want = (1.0 - q1 + q2 / 2, q1 - q2, q2 / 2)
+            assert max(abs(a - b) for a, b in zip((p0, p1, p2), want)) <= 1e-14, g
 
     def test_points_over_the_cap_exit_2(self, capsys):
         t0 = time.perf_counter()

@@ -804,6 +804,26 @@ class TestPLimit:
         for j, p in enumerate(got):
             assert abs(p - (_rho(j + 1, u) - _rho(j, u))) <= 1e-14, j
 
+    def test_one_pass_reads_every_piece(self):
+        # one call of the steps at points across 40 pieces, integers and
+        # points 1e-12 either side of them among them: each row is the
+        # one-point p_limit of (1/u, 1] and the oracle's F_j(u); u = 1 is
+        # the empty window, [1, 0, ...]
+        ints = np.arange(1.0, 41.0)
+        u = np.concatenate((ints, ints[1:] - 1e-12, ints[:-1] + 1e-12,
+                            np.linspace(1.0, 40.0, 84)[1:-1]))
+        u[1:] = 1 / (1 / u[1:])  # the u that p_limit of (1/u, 1] reads
+        assert len(u) == 200
+        rows = limit_integrals._steps_pmf(u, 40)
+        assert rows.shape == (200, 41)
+        for x, row in zip(u.tolist(), rows.tolist()):
+            want = (1.0,) if x == 1 else p_limit(Interval(1 / x, 1)).as_floats()
+            want += (0.0,) * (41 - len(want))
+            assert max(abs(a - b) for a, b in zip(row, want)) <= 1e-15, x
+            rho = [_rho(k, x) if k < x else 1 for k in range(42)]  # rho_k = 1 on [0, k]
+            for j, p in enumerate(row):
+                assert abs(p - (rho[j + 1] - rho[j])) <= 1e-14, (x, j)
+
     @pytest.mark.parametrize("g", [1 / 5.3, 1 / 6.7, 1 / 8.2, 1 / 10.34, 1 / 12.5, 1 / 15.05,
                                    1 / 17.9, 1 / 20.3])
     def test_steps_match_the_ladder_moments(self, g):
