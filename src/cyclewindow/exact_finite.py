@@ -110,18 +110,20 @@ def exact_pmf(n, w: IntWindow, rational=None):
 
     Recursion on the cycle containing element 1, whose length k is uniform
     on [1, n]: P_n(i) = (1/n) sum_{k=1}^n P_{n-k}(i - [k in window]).  With
-    cum_m = P_0 + ... + P_m and W_m = cum_{m-a} - cum_{m-min(b,m)-1} (rows
-    outside 0..m-1 read as zero), this is P_m = (cum_{m-1} + D_m)/m where
-    D_m(i) = W_m(i-1) - W_m(i).  In u_m = cum_m/(m+1) it becomes
+    cum_m = P_0 + ... + P_m and the box-window sum W_m = cum_{m-a} -
+    cum_{m-min(b,m)-1} (terms outside 0..m-1 read as zero), the discrete twin
+    of the ladder's t I_m'(t) = m (I_{m-1}(t - gamma) - I_{m-1}(t - delta)),
+    P_m = (cum_{m-1} + D_m)/m where D_m(i) = W_m(i-1) - W_m(i).  In
+    u_m = cum_m/(m+1) this becomes
 
         u_m = u_{m-1} + D_m / (m(m+1)),    u_0 = P_0 = [1, 0, ...].
 
-    D_m reads only rows at or below m - a, so the a rows of a block
-    m = s..s+a-1 need only rows already filled: a block reads its window sums
-    as two row slices of cum, takes one cumulative sum down m, and fills only
-    the (s+a-1)//a + 1 columns that can be nonzero (row m has m//a + 1).  The
-    last row is P_n = u_{n-1} + D_n/n, which avoids differencing cum.  The
-    fill is about n^2/(2a) cells in n/a blocks on an (n+1) x support table.
+    D_m reads only cum at or below m - a, so a block m = s..s+a-1 needs only
+    columns already filled: it reads its window sums as two column slices of
+    a support x (n+1) table, takes one cumulative sum along m, and fills only
+    the (s+a-1)//a + 1 rows that can be nonzero (column m has m//a + 1).
+    P_n itself is u_{n-1} + D_n/n, which avoids differencing cum.  The fill
+    is about n^2/(2a) cells in n/a blocks.
 
     rational=None picks exact Fractions for n <= 200 and floats beyond.
     Floats use a float64 table; tiny negatives left by rounding are set to
@@ -153,28 +155,30 @@ def exact_pmf(n, w: IntWindow, rational=None):
     else:
         dtype, one, div = np.float64, 1.0, operator.itruediv
 
-    # cum[j] = P_0 + ... + P_{j-1}, zero in its columns from (j-1)//a + 1 on
-    cum = np.zeros((n + 1, support), dtype)
+    # cum[:, j] = P_0 + ... + P_{j-1}, zero in rows from (j-1)//a + 1 on.  A block
+    # is k <= support by a cells: lay cum out along m unless 8a < support (measured)
+    order = "C" if 8 * a >= support else "F"
+    cum = np.zeros((support, n + 1), dtype, order=order)
     u = np.zeros(support, dtype)
-    u[0] = cum[1, 0] = one
+    u[0] = cum[0, 1] = one
     for s in range(1, n + 1, a):
-        # rows m = s..e-1 have k live columns, and their window sums
-        # W = cum_{m-a} - cum_{m-b-1} have k - 1, read as two row slices from
-        # the first row past cum[0]; a zero border gives D(i) = W(i-1) - W(i)
+        # columns m = s..e-1 have k live rows, and their window sums
+        # W = cum_{m-a} - cum_{m-b-1} have k - 1, read as two column slices from
+        # the first column past cum[:, 0]; a zero border gives D(i) = W(i-1) - W(i)
         e = min(s + a, n + 1)
         k = (e - 1) // a + 1
-        d = np.zeros((e - s, k + 1), dtype)
-        d[max(a - s, 0):, 1:k] = cum[max(s - a, 0) + 1:e - a + 1, :k - 1]
+        d = np.zeros((k + 1, e - s), dtype, order=order)
+        d[1:k, max(a - s, 0):] = cum[:k - 1, max(s - a, 0) + 1:e - a + 1]
         if e > b + 1:
-            d[max(b + 1 - s, 0):, 1:k] -= cum[max(s - b, 1):e - b, :k - 1]
-        d = d[:, :-1] - d[:, 1:]
+            d[1:k, max(b + 1 - s, 0):] -= cum[:k - 1, max(s - b, 1):e - b]
+        d = d[:-1] - d[1:]
         m = np.arange(s, min(e, n))
-        block = d[:len(m)]  # divided, summed down m and shifted by u in place
-        np.cumsum(div(block, (m * (m + 1))[:, None]), axis=0, out=block)
-        block += u[:k]
-        cum[s + 1:s + 1 + len(m), :k] = block * (m + 1)[:, None]
-        u[:k] = block[-1] if len(m) else u[:k]
-    last = u + div(d[-1], n)
+        block = d[:, :len(m)]  # divided, summed along m and shifted by u in place
+        np.cumsum(div(block, m * (m + 1)), axis=1, out=block)
+        block += u[:k, None]
+        np.multiply(block, m + 1, out=cum[:k, s + 1:s + 1 + len(m)])
+        u[:k] = block[:, -1] if len(m) else u[:k]
+    last = u + div(d[:, -1], n)
     if rational:
         return Pmf(tuple(Fraction(x, one) for x in last))
     return Pmf(tuple(np.maximum(last, 0.0).tolist()))
@@ -214,12 +218,16 @@ def exact_falling_moment(n, w: IntWindow, r):
     """E[(X)_r] for X = number of cycles with length in the window, exact.
 
     By Cauchy's formula E[(X)_r] is the sum of prod 1/k_i over ordered tuples
-    (k_1..k_r) of window lengths with sum k_i <= n.  Built by convolution from
-    f_1(s) = [a <= s <= b]/s: f_j(s) = sum_{a <= k <= min(b, s)} f_{j-1}(s-k)/k
-    for s <= n, a sum of products of a slice of f_{j-1} and a reversed slice
-    of 1/k.  The moment is the sum of f_r, taken as the sum of f_{r-1}(t)
-    times the window's harmonic sum up to n - t.  The f_j are carried as
-    integers over the common denominator d**j, d = lcm of the window lengths.
+    (k_1..k_r) of window lengths with sum k_i <= n: F_r(n), for F_j the prefix
+    sums of f_j(s) = [z^s] L(z)^j with L(z) = sum_{a <= k <= b} z^k / k.  As
+    z L'(z) = sum_{a <= k <= b} z^k, the derivative of L^j gives
+
+        s f_j(s) = j (F_{j-1}(s - a) - F_{j-1}(s - b - 1)),    f_0(s) = [s = 0],
+
+    the discrete twin of the sliced moments' t I_m'(t) = m (I_{m-1}(t - gamma)
+    - I_{m-1}(t - delta)): one pass over s <= n per order.  The f_j are carried
+    as the integers g_j = d**j f_j, d = lcm of the window lengths, so each
+    g_j(s) = j d (G_{j-1}(s - a) - G_{j-1}(s - b - 1)) // s is exact.
     A call over MOMENT_MAX_WORK is refused with DomainError before it starts.
     """
     require_int(n=n, r=r)
@@ -229,31 +237,23 @@ def exact_falling_moment(n, w: IntWindow, r):
         raise DomainError(f"need r >= 0, got {r}")
     if r == 0:
         return Fraction(1)
-    # work in operations on 30-bit words of the D = 1.5b/30-word integers:
-    # 16 a word for d, inv and harmonic, 128 a loop step, (r-1)D^2 a final
-    # term, and in pass j 128 + jD (the running sum) per pair (s, t) visited
-    # and (j-1)D^2 per product with a nonzero f_{j-1}(t); f_1 = 1/k takes no pass.
-    # Past the cap on the steps alone the passes go uncounted: r*n can be huge.
     a, b = w.a, min(w.b, n)
-    width, words = max(b - a + 1, 0), b / 20
-    work = 16 * (n + width) * words + (128 * r + (r - 1) * words**2) * (n + 1)
-    for j in range(2, min(r, n // a + 1) if work <= MOMENT_MAX_WORK else 2):
-        m = n + 1 - j * a  # at s = j*a - 1 + u the pass visits min(u, width) pairs
-        pairs = min(m, width) * (2 * m - min(m, width) + 1) // 2
-        nonzero = min(pairs, (min((j - 1) * b, n) - (j - 1) * a + 1) * width)
-        work += pairs * (128 + j * words) + nonzero * (j - 1) * words**2
+    top = min(r * b, n)  # f_r vanishes past r*b, so the sums stop at top
+    # 30-bit word operations, d having D = b/20 + 1 words: 16 a word per length for
+    # d, and pass j's top + 1 steps of 64, a (j-1)D x D product and a jD division
+    words = b / 20 + 1
+    work = 16 * b * words + (top + 1) * r * (64 + (r - 1) / 2 * words**2 + (r + 1) / 2 * words)
     if work > MOMENT_MAX_WORK:
         raise DomainError(f"exact_falling_moment for n = {n}, window [{w.a}, {w.b}] and "
                           f"r = {r} needs about {work:.1e} word operations, over the cap")
     d = math.lcm(*range(a, b + 1))
-    inv = [d // k if a <= k <= b else 0 for k in range(n + 1)]
-    rev = inv[::-1]  # inv[s - t] = rev[n - s + t]
-    f = inv if r > 1 else [1]
-    for j in range(1, r - 1):
-        # f_j vanishes below j*a, so f_{j+1} below (j+1)*a
-        f = [0] * min((j + 1) * a, n + 1) + [
-            sum(map(operator.mul, f[(lo := max(j * a, s - b)):s - a + 1],
-                    rev[n - s + lo:n - a + 1]))
-            for s in range((j + 1) * a, n + 1)]
-    harmonic = list(itertools.accumulate(inv))
-    return Fraction(sum(map(operator.mul, f, reversed(harmonic))), d**r)
+    g = [1] + [0] * top
+    for j in range(1, r + 1):
+        lo, hi = j * a, min(j * b, top)  # f_j vanishes outside [j*a, j*b]
+        if lo > hi:
+            return Fraction(0)
+        pad = [0] * (b + 1) + list(itertools.accumulate(g))  # G(t) = pad[t + b + 1]
+        diff = map(operator.sub, pad[lo - a + b + 1:hi - a + b + 2], pad[lo:hi + 1])
+        jd_diff = map(operator.mul, diff, itertools.repeat(j * d))
+        g = [0] * lo + list(map(operator.floordiv, jd_diff, range(lo, hi + 1))) + [0] * (top - hi)
+    return Fraction(sum(g), d**r)

@@ -16,6 +16,7 @@ import cyclewindow.cli as cli
 from cyclewindow import __version__, limit_integrals
 from cyclewindow.cli import Report, emit_figure_data, run
 from cyclewindow.errors import DomainError, ToleranceNotMet
+from cyclewindow.exact_finite import IntWindow, exact_falling_moment
 from cyclewindow.limit_integrals import Interval, p_limit
 
 
@@ -308,6 +309,16 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in err and f"n = {n}" in err
         assert time.perf_counter() - t0 < 1.0
+
+    def test_once_oversized_exact_moment_runs(self, capsys):
+        # the convolution route refused this call; the recurrence takes milliseconds
+        t0 = time.perf_counter()
+        rc, out, _ = run_capture(capsys, "exact-moment", "--n", "800", "--a", "1",
+                                 "--b", "400", "--r", "10", "--json")
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 0
+        assert json.loads(out)["results"]["moment"] == \
+            str(exact_falling_moment(800, IntWindow(1, 400), 10))
 
     def test_tol_is_not_an_option(self, capsys):
         assert run(["ewens-lambda", "--gamma", "1/4", "--delta", "1/3",

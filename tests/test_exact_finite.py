@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -39,6 +40,58 @@ def cauchy_sum(n, w, r):
     lengths = range(w.a, min(w.b, n) + 1)  # a longer cycle fits in no tuple
     return sum((Fraction(1, math.prod(ks)) for ks in itertools.product(lengths, repeat=r)
                 if sum(ks) <= n), Fraction(0))
+
+
+def convolution_moment(n, w, r):
+    """E[(X)_r], r >= 1, by convolving ordered tuples of window lengths.
+
+    f_j(s) = sum_{a <= k <= min(b, s)} f_{j-1}(s-k)/k from f_1 = 1/k, carried
+    as integers over d**j, d = lcm of the lengths; the moment is the sum of
+    f_{r-1}(t) times the window's harmonic sum up to n - t.
+    """
+    a, b = w.a, min(w.b, n)
+    d = math.lcm(*range(a, b + 1))
+    inv = [d // k if a <= k <= b else 0 for k in range(n + 1)]
+    rev = inv[::-1]  # inv[s - t] = rev[n - s + t]
+    f = inv if r > 1 else [1]
+    for j in range(1, r - 1):
+        f = [0] * min((j + 1) * a, n + 1) + [
+            sum(map(operator.mul, f[(lo := max(j * a, s - b)):s - a + 1],
+                    rev[n - s + lo:n - a + 1]))
+            for s in range((j + 1) * a, n + 1)]
+    harmonic = list(itertools.accumulate(inv))
+    return Fraction(sum(map(operator.mul, f, reversed(harmonic))), d**r)
+
+
+def row_major_pmf(n, w, rational):
+    """exact_pmf's block fill on an (n+1) x support table, one row per m."""
+    a, b = w.a, w.b
+    support = n // a + 1
+    if rational:
+        dtype, one, div = object, math.factorial(n), operator.ifloordiv
+    else:
+        dtype, one, div = np.float64, 1.0, operator.itruediv
+    cum = np.zeros((n + 1, support), dtype)
+    u = np.zeros(support, dtype)
+    u[0] = cum[1, 0] = one
+    for s in range(1, n + 1, a):
+        e = min(s + a, n + 1)
+        k = (e - 1) // a + 1
+        d = np.zeros((e - s, k + 1), dtype)
+        d[max(a - s, 0):, 1:k] = cum[max(s - a, 0) + 1:e - a + 1, :k - 1]
+        if e > b + 1:
+            d[max(b + 1 - s, 0):, 1:k] -= cum[max(s - b, 1):e - b, :k - 1]
+        d = d[:, :-1] - d[:, 1:]
+        m = np.arange(s, min(e, n))
+        block = d[:len(m)]
+        np.cumsum(div(block, (m * (m + 1))[:, None]), axis=0, out=block)
+        block += u[:k]
+        cum[s + 1:s + 1 + len(m), :k] = block * (m + 1)[:, None]
+        u[:k] = block[-1] if len(m) else u[:k]
+    last = u + div(d[-1], n)
+    if rational:
+        return tuple(Fraction(x, one) for x in last)
+    return tuple(np.maximum(last, 0.0).tolist())
 
 
 def check_against_direct(n, w, want):
@@ -130,6 +183,17 @@ class TestExactPmf:
             exact_pmf(n, w, rational=rational)
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("n, a, b, rational", [
+        (20000, 5000, 6666, False), (20000, 1000, 2000, False), (600, 60, 600, True),
+        (600, 60, 600, False), (3000, 1, 40, False), (150, 2, 9, True), (150, 2, 9, False),
+        (1, 1, 1, True), (1, 1, 1, False), (1, 1, 3, False),
+    ])
+    def test_matches_row_major_fill(self, n, a, b, rational):
+        # exact_pmf's (support, n+1) table is laid out along m or along i by the
+        # window; each cell takes the same operations, in the same order
+        w = IntWindow(a, b)
+        assert exact_pmf(n, w, rational=rational).probs == row_major_pmf(n, w, rational)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             exact_pmf(0, IntWindow(1, 1))
@@ -143,7 +207,7 @@ class TestDirectRecursion:
     """exact_pmf against the direct O(n^2) recursion, every window up to n = 30.
 
     n runs over all of 1..30, so n = ka - 1, ka and ka + 1, where a block of
-    a rows ends, are covered for every a <= 15.
+    a sizes m ends, are covered for every a <= 15.
     """
 
     @pytest.mark.parametrize("a", range(1, 32))
@@ -231,19 +295,36 @@ class TestExactFallingMoment:
                         assert got == 0
 
     @pytest.mark.parametrize("n,a,b,r", [(20000, 10, 20000, 2), (100000, 1, 100000, 2),
-                                         (800, 1, 400, 10), (1500, 2, 750, 4),
-                                         (1000, 1, 500, 7), (1000, 2, 1000, 4)])
+                                         (3000, 1, 3000, 10), (10000, 1, 10000, 3)])
     def test_oversized_call_is_refused_at_once(self, n, a, b, r):
         # the first two ran past 30 s before the work was estimated up front;
-        # the last four estimate 3.5e9 to 4.0e9 and took 4 to 7 s when admitted
+        # the last two estimate 3.1e9 and 7.6e9 and took 3.6 s and 5.3 s when admitted
         t0 = time.perf_counter()
         with pytest.raises(DomainError, match=f"n = {n}, window \\[{a}, {b}\\] and r = {r}"):
             exact_falling_moment(n, IntWindow(a, b), r)
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("n,a,b,r", [(800, 1, 400, 10), (1500, 2, 750, 4),
+                                         (1000, 1, 500, 7), (1000, 2, 1000, 4)])
+    def test_once_oversized_call_runs_at_once(self, n, a, b, r):
+        # the convolution took 4 to 7 s on these; the recurrence takes milliseconds
+        t0 = time.perf_counter()
+        got = exact_falling_moment(n, IntWindow(a, b), r)
+        assert time.perf_counter() - t0 < 1.0
+        assert got > 0
+
+    @pytest.mark.parametrize("n", [37, 120, 300])
+    def test_recurrence_matches_convolution(self, n):
+        windows = [(1, n + 5), (1, n // 3), (2, n // 2), (n // 10, n), (5, 40),
+                   (1, 1), (3, 3), (7, 7), (n // 4, n // 4)]
+        for a, b in windows:
+            w = IntWindow(a, b)
+            for r in range(1, 9):
+                assert exact_falling_moment(n, w, r) == convolution_moment(n, w, r), (n, a, b, r)
+
     def test_sparse_first_pass_is_allowed(self):
-        # r = 2 takes the harmonic sums against f_1 = 1/k alone and runs no
-        # convolution pass, so this runs in well under a second
+        # only the pair (1000, 1000) fits in n = 2000: a wide window at the
+        # edge of n stays cheap, as f_2 is the single entry 1/10**6
         w = IntWindow(1000, 2000)
         got = exact_falling_moment(2000, w, 2)
         assert got == falling_moment(exact_pmf(2000, w, rational=True), 2)
