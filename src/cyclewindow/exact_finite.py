@@ -21,7 +21,7 @@ from .quasi_poisson import Pmf
 
 RATIONAL_LIMIT = 200
 DP_TABLE_MAX_BYTES = 1 << 28  # exact_pmf refuses larger tables
-MOMENT_MAX_WORK = 12 * 10**8  # word operations, about 2 s; exact_falling_moment refuses more
+MOMENT_MAX_WORK = 10**9  # word operations, about 2 s; exact_falling_moment refuses more
 
 
 @dataclass(frozen=True)
@@ -150,14 +150,11 @@ def exact_pmf(n, w: IntWindow, rational=None):
         raise DomainError(
             f"exact_pmf table for n = {n} with support {support} needs about "
             f"{size / 2**20:.0f} MiB, over the {DP_TABLE_MAX_BYTES / 2**20:.0f} MiB cap")
-    if rational:
-        dtype, one, div = object, math.factorial(n), operator.ifloordiv
-    else:
-        dtype, one, div = np.float64, 1.0, operator.itruediv
+    dtype, one, div = ((object, math.factorial(n), operator.ifloordiv) if rational
+                       else (np.float64, 1.0, operator.itruediv))
 
-    # cum[:, j] = P_0 + ... + P_{j-1}, zero in rows from (j-1)//a + 1 on.  A block
-    # is k <= support by a cells: lay cum out along m unless 8a < support (measured)
-    order = "C" if 8 * a >= support else "F"
+    # cum[:, j] = P_0 + ... + P_{j-1}, zero in rows from (j-1)//a + 1 on
+    order = "C" if support <= 256 else "F"  # along m up to 256 rows, the measured crossover
     cum = np.zeros((support, n + 1), dtype, order=order)
     u = np.zeros(support, dtype)
     u[0] = cum[0, 1] = one
@@ -238,11 +235,16 @@ def exact_falling_moment(n, w: IntWindow, r):
     if r == 0:
         return Fraction(1)
     a, b = w.a, min(w.b, n)
+    if r * a > n:  # every r-tuple of window lengths sums past n
+        return Fraction(0)
     top = min(r * b, n)  # f_r vanishes past r*b, so the sums stop at top
-    # 30-bit word operations, d having D = b/20 + 1 words: 16 a word per length for
-    # d, and pass j's top + 1 steps of 64, a (j-1)D x D product and a jD division
-    words = b / 20 + 1
-    work = 16 * b * words + (top + 1) * r * (64 + (r - 1) / 2 * words**2 + (r + 1) / 2 * words)
+    # 30-bit word operations, D bounding the words of d as log d <= min(b, (b-a+1) log b):
+    # 16 (D+1) a length for d, then in pass j top + 1 prefix-sum steps of 64 + jD, and a
+    # (j-1)D x D product (factors >= 1 word) per entry in [j*a, min(j*b, top)], if under cap
+    words = min(b, (b - a + 1) * math.log(b)) / 20
+    work = 16 * (b - a + 1) * (words + 1) + (top + 1) * r * (64 + (r + 1) / 2 * words)
+    for j in range(2, r + 1 if work <= MOMENT_MAX_WORK else 2):
+        work += (min(j * b, top) - j * a + 1) * (j - 1) * (words + 1) ** 2
     if work > MOMENT_MAX_WORK:
         raise DomainError(f"exact_falling_moment for n = {n}, window [{w.a}, {w.b}] and "
                           f"r = {r} needs about {work:.1e} word operations, over the cap")
@@ -250,8 +252,6 @@ def exact_falling_moment(n, w: IntWindow, r):
     g = [1] + [0] * top
     for j in range(1, r + 1):
         lo, hi = j * a, min(j * b, top)  # f_j vanishes outside [j*a, j*b]
-        if lo > hi:
-            return Fraction(0)
         pad = [0] * (b + 1) + list(itertools.accumulate(g))  # G(t) = pad[t + b + 1]
         diff = map(operator.sub, pad[lo - a + b + 1:hi - a + b + 2], pad[lo:hi + 1])
         jd_diff = map(operator.mul, diff, itertools.repeat(j * d))

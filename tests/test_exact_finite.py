@@ -187,10 +187,12 @@ class TestExactPmf:
         (20000, 5000, 6666, False), (20000, 1000, 2000, False), (600, 60, 600, True),
         (600, 60, 600, False), (3000, 1, 40, False), (150, 2, 9, True), (150, 2, 9, False),
         (1, 1, 1, True), (1, 1, 1, False), (1, 1, 3, False),
+        (1275, 5, 12, False), (1285, 5, 12, False),
     ])
     def test_matches_row_major_fill(self, n, a, b, rational):
-        # exact_pmf's (support, n+1) table is laid out along m or along i by the
-        # window; each cell takes the same operations, in the same order
+        # exact_pmf's (support, n+1) table is laid out along m up to support 256
+        # (n = 1275 above) and along i past it (n = 1285); each cell takes the
+        # same operations, in the same order
         w = IntWindow(a, b)
         assert exact_pmf(n, w, rational=rational).probs == row_major_pmf(n, w, rational)
 
@@ -329,6 +331,16 @@ class TestExactFallingMoment:
         got = exact_falling_moment(2000, w, 2)
         assert got == falling_moment(exact_pmf(2000, w, rational=True), 2)
         assert got == Fraction(1, 10**6)
+        # the cost model charges pass 2 its one entry, not all of s <= n
+        assert exact_falling_moment(20000, IntWindow(10000, 20000), 2) == Fraction(1, 10**8)
+
+    @pytest.mark.parametrize("n,a,b,r", [(6000, 3000, 6000, 3), (6000, 3001, 6000, 2),
+                                         (10, 1, 1, 20000), (10, 11, 11, 1)])
+    def test_tuples_past_n_give_zero_at_once(self, n, a, b, r):
+        # r*a > n: no r-tuple of window lengths fits, whatever the cost of d
+        t0 = time.perf_counter()
+        assert exact_falling_moment(n, IntWindow(a, b), r) == 0
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_every_window_against_cauchy_sum(self, n):
