@@ -78,8 +78,9 @@ class Interval:
 
 # The one support cap of p_limit, and the order cap of the sliced moments.  On
 # windows (gamma, 1] it caps cost: the steps take about 0.25 s at support 1000.
-# On the ladder it guards overflow, but not tightly: the levels of
-# (1/(k + 0.5), 1) for k = 982..998, and of (1/990.5, 0.9), overflow in _layout.
+# On the ladder it guards overflow, but not tightly: p_limit's delta < 1 windows
+# build only the orders _ladder_pmf's cut keeps, but q_limit and
+# sliced_cube_integral build every order, and high ones overflow in _layout.
 LADDER_MAX_ORDER = 1000
 
 
@@ -312,8 +313,9 @@ def p_limit(iv: Interval):
     """Limiting pmf of the window cycle count, supported on {0..r}, r = floor(1/gamma).
 
     Windows (gamma, 1] solve their delay equation by steps (_steps_pmf).
-    Windows with delta < 1 invert the falling moments q_1..q_r of _moments at
-    the slice 1 (_ladder_pmf).  Raises DomainError when r > LADDER_MAX_ORDER.
+    Windows with delta < 1 invert the falling moments of _moments at the
+    slice 1, up to the order _ladder_pmf's tail bound needs.  Raises
+    DomainError when r > LADDER_MAX_ORDER.
     """
     r = support_bound(iv.gamma)
     if r > LADDER_MAX_ORDER:
@@ -325,10 +327,23 @@ def p_limit(iv: Interval):
 
 
 def _ladder_pmf(r, g, d):
-    """The pmf on {0..r} inverted from _moments at the slice 1; negative moments read as 0."""
-    values, _ = _moments(r, g, d, 1.0)
-    q = [1.0] + [max(v, 0.0) for v in values] + [0.0] * (r - len(values))
-    return pmf_from_falling_moments(MomentVector(tuple(q)))
+    """The pmf on {0..r} inverted from _moments at the slice 1; negative moments read as 0.
+
+    Only q_0..q_m are inverted and the pmf padded with zeros, m <= r the
+    first order whose tail sum_{j>m} x^j/j!, x = 2 ln(d/g), is below 1e-17:
+    q_j <= ln(d/g)^j and C(j, i) <= 2^j, so that tail bounds each entry's
+    move.  Once m + 2 > x the tail is at most t_{m+1} (m + 2)/(m + 2 - x),
+    t_j = x^j/j!, as later terms fall by x/(m + 2) or more.
+    """
+    x = 2.0 * math.log(d / g)
+    m, t = 0, x
+    while m < r and not (m + 2 > x and t * (m + 2) / (m + 2 - x) < 1e-17):
+        m += 1
+        t *= x / (m + 1)
+    values, _ = _moments(m, g, d, 1.0)
+    q = [1.0] + [max(v, 0.0) for v in values] + [0.0] * (m - len(values))
+    pmf = pmf_from_falling_moments(MomentVector(tuple(q)))
+    return pmf if m == r else Pmf(pmf.probs + (0.0,) * (r - m))
 
 
 _K = np.arange(_CHEB_DEG + 2)  # the degrees k of T_k(y) = cos(k arccos y) in an antiderivative

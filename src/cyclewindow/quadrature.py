@@ -32,8 +32,8 @@ _antiderivative integrates a function on every piece at once, with one matrix
 product and one cumsum, chopping columns below rounding: the method of steps
 for delay equations (Bellman and Cooke, Differential-Difference Equations,
 1963) behind the limit ladder.  _STEP takes one such step on one piece whose
-integrand is the previous piece's node values, as the steps of the limit pmf
-and the Buchstab function do.
+integrand is the previous piece's node values, as limit_integrals._steps_pmf
+does.
 _integral gives only totals, with no table: on the same nodes, Fejer's
 first rule (Fejer, 1933; Trefethen, SIAM Review 50, 2008) is one product
 with a fixed matrix, for a stack of integrands read in one call.
@@ -280,8 +280,8 @@ _CHEB_QUAD = np.column_stack((_CHEB_FIT @ _CHEB_INTEG.sum(axis=1) / 2.0, _CHEB_F
 # interpolant's antiderivative from the piece's left end, in the piece's variable
 _CHEB_ANTI = _CHEB_FIT @ _CHEB_INTEG
 # the same to, by column, that antiderivative at the same nodes and, last, the
-# function's integral over the piece: one step of the method of steps when the
-# function is the previous piece's node values
+# function's integral over the piece: one step of limit_integrals._steps_pmf,
+# whose function is the previous piece's node values
 _STEP = np.column_stack((_CHEB_ANTI @ chebvander(_CHEB_PTS, _CHEB_DEG + 1).T,
                          2.0 * _CHEB_QUAD[:, 0]))
 

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import _CHEB_PTS, _STEP, _antiderivative, _PiecewiseCheb, integrate_simpson
+from .quadrature import integrate_simpson
 
 _PI2_6 = math.pi * math.pi / 6.0
 
@@ -68,33 +67,14 @@ def dilog(x):
 # which would force omega(2) = 0 and contradict continuity; the form above is
 # the one consistent with omega = 1/u on [1, 2].)
 #
-# F(u) = u*omega(u) is 1 on [1, 2] and F(u) = F(m) + int_m^u F(s-1)/(s-1) ds
-# on [m, m+1]: each unit piece is one antiderivative of the piece before it,
-# the method of steps.  A shift by 1 maps a piece's Chebyshev nodes onto the
-# previous piece's, so a step is one product of node values with _STEP, as in
-# limit_integrals._steps_pmf.  The table is built once, on the first call.
+# S(v) = sum_j 2^j P_j((1/v, 1]), from the pmfs of limit_integrals._steps_pmf,
+# solves v S'(v) = S(v - 1) with S = 1 on [0, 1], which is the recurrence for
+# u*omega(u) in v = u - 1: so omega(u) = S(u - 1)/u, one steps read.
 
-# The tabulated omega(u) is within 1e-14 of its limit e^{-euler_gamma} for
-# every u in [12, 60], so omega is taken constant past this point; the table
-# then stays bounded and a huge u costs no more than u = 30.
+# omega(u) is within 1e-14 of its limit e^{-euler_gamma} for every u in
+# [12, 60], so omega is taken constant past this point; a huge u then costs
+# no more than u = 30.
 _U_CLAMP = 30.0
-
-
-@functools.cache
-def _buchstab_table():
-    """F(u) = u*omega(u) as Chebyshev pieces on [m, m+1], m = 2.._U_CLAMP-1."""
-    slopes, prev, end = [], np.ones(_CHEB_PTS.size), 1.0  # F = 1 on [1, 2]
-    for m in range(2, int(_U_CLAMP)):
-        # F(s - 1)/(s - 1) at s = m + (1 + x)/2, halved for the piece's half-width
-        slopes.append(prev / (2 * m - 1 + _CHEB_PTS))
-        step = slopes[-1] @ _STEP
-        prev, end = end + step[:-1], end + step[-1]
-    # F(2) = 1 plus the running integral of the slopes' interpolants, from
-    # node values already in hand (unhalved for _antiderivative's piece width)
-    bounds = range(2, int(_U_CLAMP) + 1)
-    coef, _ = _antiderivative(bounds, lambda s: 2.0 * np.concatenate(slopes))
-    coef[:, 0] += 1.0
-    return _PiecewiseCheb(bounds, coef, None, None)
 
 
 def buchstab(u):
@@ -103,16 +83,18 @@ def buchstab(u):
         raise DomainError(f"buchstab defined for finite u >= 1, got {u}")
     if u <= 2.0:
         return 1.0 / u
+    from .limit_integrals import _steps_pmf  # limit_integrals imports dilog from here
     u = min(u, _U_CLAMP)
-    return float(_buchstab_table()(u)) / u
+    r = int(u - 1.0)
+    return float(_steps_pmf([u - 1.0], r)[0] @ 2.0 ** np.arange(r + 1)) / u
 
 
 def buchstab_max_residual(iv: RealInterval, points: int):
     """Max |u*omega(u) - 1 - integral_1^{u-1} omega| over a grid in iv.
 
     The integral is recomputed by adaptive Simpson over buchstab() values,
-    independently of the table's internal antiderivatives, so this serves as
-    a self-check of the tabulation.
+    independently of the steps that buchstab reads, so this serves as a
+    self-check of them.
     """
     if iv.lo < 2.0:
         raise DomainError("residual check applies for u >= 2")

@@ -5,7 +5,6 @@ nested/double quadrature over the defining integrals, mpmath dilogarithms,
 and high-precision evaluation of the analytic formulas.
 """
 
-import functools
 import math
 import os
 import random
@@ -31,6 +30,7 @@ from cyclewindow.limit_integrals import (
 from cyclewindow.quasi_poisson import (
     MomentVector, falling_moment, pmf_from_falling_moments, qp_pmf,
 )
+from rho_oracle import RHO_DPS, rho
 
 GAMMA_STAR = 1.0 / (1.0 + math.exp(0.5))
 
@@ -328,7 +328,7 @@ class TestSlicedCubeIntegral:
         val, err = sliced_cube_integral(20, Interval(g, 1), 1.0, with_error=True)
         assert val >= 0.0
         u = 1 / mpmath.mpf(g)
-        assert err >= abs(val - math.factorial(20) * (_rho(21, u) - _rho(20, u)))
+        assert err >= abs(val - math.factorial(20) * (rho(21, u) - rho(20, u)))
 
     @pytest.mark.parametrize("g, d, c, orders", [
         (0.26, 0.31, 1.0, 3), (Fraction(2, 7), Fraction(1, 3), 1.0, 3),
@@ -551,42 +551,6 @@ def _richardson_dp(gamma, delta, n):
     return (4 * r2 - r1) / 3
 
 
-_RHO_DPS, _RHO_TERMS = 50, 200
-
-
-@functools.lru_cache(maxsize=None)
-def _rho_piece(k, j):
-    """Taylor coefficients of rho_k about j + 1/2, on the unit piece [j, j + 1].
-
-    rho_0 = 0, rho_k = 1 on [0, k], and u rho_k'(u) = -rho_k(u - 1) +
-    rho_{k-1}(u - 1) above 1 (Knuth and Trabb Pardo, 1976).  With
-    u = c + xi, c = j + 1/2, and b, b' the previous piece's coefficients of
-    rho_k and rho_{k-1}, c (i+1) a_{i+1} + i a_i = -b_i + b'_i; a_0 makes
-    rho_k continuous at xi = -1/2.  The continuation is singular one unit to
-    the left, so the series converges like 3^-i at the piece ends.
-    """
-    zero = [mpmath.mpf(0)] * _RHO_TERMS
-    if k == 0:
-        return tuple(zero)
-    if j + 1 <= k:
-        return tuple([mpmath.mpf(1)] + zero[1:])
-    with mpmath.workdps(_RHO_DPS):
-        b, b1, c = _rho_piece(k, j - 1), _rho_piece(k - 1, j - 1), mpmath.mpf(j) + 0.5
-        a = zero[:]
-        for i in range(_RHO_TERMS - 1):
-            a[i + 1] = (b1[i] - b[i] - i * a[i]) / (c * (i + 1))
-        a[0] = mpmath.polyval(b[::-1], 0.5) - mpmath.polyval(a[::-1], -0.5)
-        return tuple(a)
-
-
-def _rho(k, u):
-    """rho_k(u) at 50 digits: P(the k-th longest cycle is shorter than n/u) as n grows."""
-    with mpmath.workdps(_RHO_DPS):
-        u = mpmath.mpf(u)
-        j = int(mpmath.floor(u))
-        return mpmath.polyval(_rho_piece(k, j)[::-1], u - j - 0.5)
-
-
 class TestPLimit:
     def test_quarter_to_third_matches_quasi_poisson(self):
         from cyclewindow.quasi_poisson import qp_pmf
@@ -763,10 +727,10 @@ class TestPLimit:
         assert abs(got - self._RHO[k]) <= 1e-15
 
     def test_rho_oracle_matches_dickman(self):
-        with mpmath.workdps(_RHO_DPS):
-            assert abs(_rho(1, 2) - (1 - mpmath.log(2))) < 1e-45
+        with mpmath.workdps(RHO_DPS):
+            assert abs(rho(1, 2) - (1 - mpmath.log(2))) < 1e-45
         for k in sorted(self._RHO):
-            assert abs(_rho(1, k) - self._RHO[k]) <= 1e-16 * self._RHO[k]
+            assert abs(rho(1, k) - self._RHO[k]) <= 1e-16 * self._RHO[k]
 
     @pytest.mark.parametrize("f", [0.05, 0.37, 0.8])
     @pytest.mark.parametrize("k", range(2, 31))
@@ -778,7 +742,7 @@ class TestPLimit:
         u = 1 / mpmath.mpf(iv.g)
         assert len(got) == k + 1
         for j, p in enumerate(got):
-            assert abs(p - (_rho(j + 1, u) - _rho(j, u))) <= 1e-14, j
+            assert abs(p - (rho(j + 1, u) - rho(j, u))) <= 1e-14, j
 
     @pytest.mark.parametrize("f", [0.05, 0.37, 0.8])
     @pytest.mark.parametrize("k", [31, 40, 50, 70, 100])
@@ -790,7 +754,7 @@ class TestPLimit:
         u = 1 / mpmath.mpf(iv.g)
         assert len(got) == k + 1
         for j, p in enumerate(got[:31]):
-            assert abs(p - (_rho(j + 1, u) - _rho(j, u))) <= 1e-14, j
+            assert abs(p - (rho(j + 1, u) - rho(j, u))) <= 1e-14, j
         assert all(0.0 <= p <= 1e-14 for p in got[31:])
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -802,7 +766,7 @@ class TestPLimit:
         u = mpmath.mpf(k) if exact else 1 / mpmath.mpf(iv.g)
         assert len(got) == k + 1
         for j, p in enumerate(got):
-            assert abs(p - (_rho(j + 1, u) - _rho(j, u))) <= 1e-14, j
+            assert abs(p - (rho(j + 1, u) - rho(j, u))) <= 1e-14, j
 
     def test_one_pass_reads_every_piece(self):
         # one call of the steps at points across 40 pieces, integers and
@@ -820,9 +784,9 @@ class TestPLimit:
             want = (1.0,) if x == 1 else p_limit(Interval(1 / x, 1)).as_floats()
             want += (0.0,) * (41 - len(want))
             assert max(abs(a - b) for a, b in zip(row, want)) <= 1e-15, x
-            rho = [_rho(k, x) if k < x else 1 for k in range(42)]  # rho_k = 1 on [0, k]
+            rhos = [rho(k, x) if k < x else 1 for k in range(42)]  # rho_k = 1 on [0, k]
             for j, p in enumerate(row):
-                assert abs(p - (rho[j + 1] - rho[j])) <= 1e-14, (x, j)
+                assert abs(p - (rhos[j + 1] - rhos[j])) <= 1e-14, (x, j)
 
     @pytest.mark.parametrize("g", [1 / 5.3, 1 / 6.7, 1 / 8.2, 1 / 10.34, 1 / 12.5, 1 / 15.05,
                                    1 / 17.9, 1 / 20.3])
@@ -864,6 +828,28 @@ class TestPLimit:
         assert min(got) >= 0.0
         assert abs(math.fsum(got) - 1.0) <= 1e-12
         assert abs(math.fsum(j * p for j, p in enumerate(got)) - math.log(k + 0.5)) <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [0.9, 0.5])
+    def test_delta_below_one_near_the_cap_does_not_overflow(self, d):
+        # the ladder's levels overflowed float64 here when every order up to
+        # 990 was built; the cut stops at the first order whose tail is below 1e-17
+        g = 1 / 990.5
+        t0 = time.perf_counter()
+        got = p_limit(Interval(g, d)).as_floats()
+        assert time.perf_counter() - t0 < 0.1
+        assert len(got) == 991
+        assert abs(math.fsum(j * p for j, p in enumerate(got)) - math.log(d / g)) <= 1e-12
+
+    def test_order_cut_moves_no_entry_past_its_tail(self):
+        # (1/100.5, 1/5.5) keeps orders to m < 100; against the inversion of all 100
+        r, g, d = 100, 1 / 100.5, 1 / 5.5
+        values, _ = _moments(r, g, d, 1.0)
+        q = [1.0] + [max(v, 0.0) for v in values] + [0.0] * (r - len(values))
+        want = pmf_from_falling_moments(MomentVector(tuple(q))).as_floats()
+        got = p_limit(Interval(g, d)).as_floats()
+        assert len(got) == len(want) == r + 1
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-17
 
     def test_deep_window_box_moments(self):
         # gamma near 1/20, delta near 1/10: support 20, 18 nested levels.

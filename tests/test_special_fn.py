@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rho_oracle import RHO_DPS, rho
 
 from cyclewindow.errors import DomainError
 from cyclewindow.special_fn import (
@@ -67,6 +68,16 @@ class TestBuchstab:
         for u in [2.0 + j / 64 for j in range(65)]:
             assert abs(u * buchstab(u) - (1 + math.log(u - 1))) <= 1e-14, u
 
+    def test_matches_the_rho_oracle(self):
+        # u*omega(u) = sum_j 2^j P_j((1/(u - 1), 1]), P_j = rho_{j+1} - rho_j at
+        # u - 1: at every integer join of [2, 30] and two points inside each piece
+        with mpmath.workdps(RHO_DPS):
+            for u in [k + f for k in range(2, 30) for f in (0.0, 0.25, 0.7)] + [30.0]:
+                v = u - 1
+                rhos = [rho(k, v) if k < v else 1 for k in range(int(v) + 2)]  # 1 on [0, k]
+                want = sum(2**j * (rhos[j + 1] - rhos[j]) for j in range(int(v) + 1)) / u
+                assert abs(buchstab(u) - want) <= 1e-15, u
+
     def test_continuity_at_piece_joins(self):
         for u in (2.0, 3.0, 4.0):
             left = buchstab(u - 1e-9)
@@ -105,8 +116,8 @@ class TestBuchstab:
             buchstab_max_residual(RealInterval(1.0, 3.0), 5)
 
     def test_concurrent_table_growth(self):
-        # hammer the table from several threads; every thread must see
-        # a consistent table, however many of them reach it first
+        # call from several threads at once: buchstab keeps no state, so every
+        # thread must get its own value, whatever the others are doing
         errs = []
 
         def worker(u):
