@@ -30,7 +30,7 @@ from cyclewindow.limit_integrals import (
 from cyclewindow.quasi_poisson import (
     MomentVector, falling_moment, pmf_from_falling_moments, qp_pmf,
 )
-from rho_oracle import RHO_DPS, rho
+from rho_oracle import RHO_DPS, rho, window_pmf
 
 GAMMA_STAR = 1.0 / (1.0 + math.exp(0.5))
 
@@ -503,6 +503,34 @@ class TestQRecurrence:
         Q_recurrence(k, g)
         assert sum(pieces) <= limit_integrals._recurrence_pieces(k, g) <= 1.25 * sum(pieces)
 
+    def test_count_refuses_what_the_level_loop_refused(self):
+        # the closed form against the loop it replaced, which added the same
+        # count level by level and stopped once past the cap; per k, 200
+        # gammas across the cap and 100 within 1e-9 of it, relative.  Only a
+        # count within an ulp or two of the cap itself can round to the other
+        # side, so the 100 straddle that point and miss it by 1e-11 or more.
+        cap = limit_integrals.RECURRENCE_MAX_PIECES
+
+        def looped(k, g):
+            total = 1.0 / g - k
+            for j in range(2, k):
+                s = (1.0 - (k - j) * g) / g - j + 1
+                total += 33 * s * (s + 1) / 2
+                if total > cap:
+                    break
+            return total
+
+        for k in range(2, 40):
+            # s = 1/g - k + 1 at which the count is the cap
+            c = 16.5 * (k - 2)
+            s_cap = cap + 1.0 if k == 2 else (
+                (math.sqrt((c + 1) ** 2 + 4 * c * (cap + 1)) - c - 1) / (2 * c))
+            ss = np.concatenate((np.geomspace(1.001, 4 * s_cap, 200),
+                                 s_cap * (1 + 2e-11 * (np.arange(-50, 50) + 0.5))))
+            for g in (1 / (ss + k - 1)).tolist():
+                refused = limit_integrals._recurrence_pieces(k, g) > cap
+                assert refused == (looped(k, g) > cap), (k, g)
+
     def test_oversized_is_refused_before_building(self):
         # (3, 0.001) would start 16.4M GK15 pieces, one (16.4M, 15) array of
         # nodes; (30, 0.005) ran for minutes
@@ -768,6 +796,40 @@ class TestPLimit:
         for j, p in enumerate(got):
             assert abs(p - (rho(j + 1, u) - rho(j, u))) <= 1e-14, j
 
+    # rational windows with delta < 1 against window_pmf, and the largest gap
+    # of p_limit's ladder measured on each
+    _RATIONAL = [((1, 4), (1, 3), 7.5e-17), ((1, 5), (3, 5), 5.2e-17),
+                 ((1, 20), (1, 10), 2.6e-17), ((1, 30), (1, 7), 1.1e-16),
+                 ((1, 50), (1, 3), 1.8e-13), ((1, 100), (1, 5), 2.1e-13)]
+
+    @pytest.mark.parametrize("g, d, gap", _RATIONAL)
+    def test_interior_window_matches_the_window_oracle(self, g, d, gap):
+        iv = Interval(Fraction(*g), Fraction(*d))
+        got = p_limit(iv).as_floats()
+        want = window_pmf(iv.gamma, iv.delta)
+        assert len(got) == len(want) == support_bound(iv.gamma) + 1
+        worst = max(abs(p - w) for p, w in zip(got, want))
+        assert worst <= 1e-12
+        assert worst <= max(2 * gap, 1e-15)
+
+    @pytest.mark.parametrize("g, d", [w[:2] for w in _RATIONAL])
+    def test_window_oracle_sums_to_one_with_mean_log_ratio(self, g, d):
+        # the first falling moment of the limit is ln(delta/gamma)
+        want = window_pmf(Fraction(*g), Fraction(*d))
+        with mpmath.workdps(RHO_DPS):
+            assert abs(mpmath.fsum(want) - 1) <= 1e-45
+            mean = mpmath.fsum(j * p for j, p in enumerate(want))
+            assert abs(mean - mpmath.log(mpmath.mpf(d[0]) * g[1] / (d[1] * g[0]))) <= 1e-43
+
+    @pytest.mark.parametrize("g", [Fraction(1, 7), Fraction(2, 15)])
+    def test_window_oracle_at_delta_one_is_the_rho_oracle(self, g):
+        # two oracles that share no code: (gamma, 1] in t and rho_k at u = 1/gamma
+        want = window_pmf(g, Fraction(1))
+        with mpmath.workdps(RHO_DPS):
+            u = mpmath.mpf(g.denominator) / g.numerator
+            for j, p in enumerate(want):
+                assert abs(p - (rho(j + 1, u) - rho(j, u))) <= 1e-45, j
+
     def test_one_pass_reads_every_piece(self):
         # one call of the steps at points across 40 pieces, integers and
         # points 1e-12 either side of them among them: each row is the
@@ -991,6 +1053,24 @@ class TestEwensLambda:
     def test_narrow_window(self):
         got = ewens_lambda(Interval(Fraction(1, 4), Fraction(1, 3)), 2.0)
         assert got == pytest.approx(0.204348739118448, abs=1e-12)
+
+    @staticmethod
+    def _to_one(g, sigma):
+        # the (gamma, 1] integral at 50 digits: with t = 1 - x it is the
+        # incomplete beta B(1 - gamma; sigma, 0) = x^s/s 2F1(s, 1; s + 1; x)
+        with mpmath.workdps(50):
+            x, s = 1 - mpmath.mpf(g), mpmath.mpf(sigma)
+            return x ** s / s * mpmath.hyp2f1(s, 1, s + 1, x)
+
+    def test_to_one_within_1e_12_relative(self):
+        # the tail sum used to stop at an absolute 1e-17, which cost a small
+        # value its digits: 4.6e-11 relative at (0.9, 1] and 2.4e-6 at
+        # (0.999, 1], both at sigma = 7.5
+        for g in (1e-3, 0.01, 0.1, 0.25, 0.5, 0.9, 0.999):
+            for sigma in (1e-3, 0.01, 0.5, 1.0, 2.0, 7.5):
+                want = self._to_one(g, sigma)
+                got = ewens_lambda(Interval(g, 1.0), sigma)
+                assert abs(got - want) <= 1e-12 * want, (g, sigma)
 
     def test_domain(self):
         with pytest.raises(DomainError):

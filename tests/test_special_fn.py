@@ -28,6 +28,12 @@ class TestDilog:
         want = float(mpmath.polylog(2, x))
         assert abs(dilog(x) - want) < 1e-13
 
+    def test_against_mpmath_everywhere(self):
+        # 2001 points of [0, 1], both branches, at 40 digits
+        with mpmath.workdps(40):
+            for x in [i / 2000 for i in range(2001)]:
+                assert abs(dilog(x) - mpmath.polylog(2, x)) <= 2.2e-16, x
+
     def test_series_reflection_seam(self):
         # both evaluation branches meet at 1/2
         lo = dilog(0.5 - 1e-13)
