@@ -12,7 +12,7 @@ equation in u = 1/gamma, solved by steps on unit pieces with no table and no
 inversion: p_limit reads it at one u, the figure's rows at many u in one
 pass, and argmax_p bisects on its closed-form slope.  The
 companion one-parameter recurrence for windows (gamma, 1] stays iterated
-adaptive quadrature, an oracle that shares no table with the ladder.
+GK15 quadrature, an oracle that shares no table with the ladder.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, require_int
 from .quadrature import (
     _BND_EPS, _CHEB_ANTI, _CHEB_DEG, _CHEB_PTS, _STEP, _antiderivative, _dedupe,
-    _integral, _interp_pieces, _PiecewiseCheb, integrate, integrate_many,
+    _gk15, _integral, _interp_pieces, _PiecewiseCheb, integrate,
 )
 from .quasi_poisson import (
     _CLAMP_FLOOR, MomentVector, Pmf, _is_exact, pmf_from_falling_moments,
@@ -237,17 +237,18 @@ def q2_closed_form(iv: Interval):
 # reachable from the target gamma.
 
 def _integrate_Q(xs, j, prev_fn):
-    """Q_j at every x in the flat array xs; kinks at z = 1 - m*x for m >= j."""
-    brks = []
-    for x in xs.tolist():
-        row, m = [], j
-        while 1.0 - m * x > x:
-            row.append(1.0 - m * x)
-            m += 1
-        brks.append(row)
-    vals, _ = integrate_many(lambda z, own: prev_fn(xs[own, None] / (1.0 - z)) / z,
-                             xs, 1.0 - (j - 1) * xs, breakpoints=brks)
-    return vals
+    """Q_j at every x in the flat array xs, one GK15 panel per piece of [x, 1 - (j-1)x].
+
+    The kinks z = 1 - m*x, m >= j, cut the pieces [max(x, 1 - (m+1)x), 1 - m*x].  On each
+    the integrand is analytic, its poles z = 0 and 1 a piece width or more away (Bernstein
+    ellipse rho >= 3 + sqrt(8)), so one panel is at rounding.
+    """
+    z = 1.0 - np.arange(j - 1, int(1.0 / xs.min()) + 3) * xs[:, None]  # row i: 1 - m*x_i
+    lo, hi = np.maximum(xs[:, None], z[:, 1:]), z[:, :-1]
+    live = hi > xs[:, None]
+    owner = np.nonzero(live)[0]
+    vals, _ = _gk15(lambda t: prev_fn(xs[owner, None] / (1.0 - t)) / t, lo[live], hi[live])
+    return np.bincount(owner, vals, xs.size)  # each x's panels summed in order
 
 
 def _build_Q_level(j, lo, prev_fn):
@@ -260,12 +261,12 @@ def _build_Q_level(j, lo, prev_fn):
     return _PiecewiseCheb(bounds, coef, left=None, right=0.0)
 
 
-RECURRENCE_MAX_PIECES = 250_000  # GK15 pieces, about 2 s; Q_recurrence refuses more
+RECURRENCE_MAX_PIECES = 250_000  # GK15 panels, up to about 1.7 s; Q_recurrence refuses more
 
 
 def _recurrence_pieces(k, g):
-    # About the GK15 pieces Q_recurrence(k, g) starts: level j < k spans [lo, 1/j], and its
-    # 33 nodes in each (1/(i+1), 1/i) start i - j + 1 pieces, 33*s*(s+1)/2 in all for
+    # The GK15 panels Q_recurrence(k, g) evaluates, one a piece: level j < k spans [lo, 1/j],
+    # and its 33 nodes in each (1/(i+1), 1/i) have i - j + 1 pieces, 33*s*(s+1)/2 in all for
     # s = 1/lo - j + 1 = 1/g - k + 1, the same at every level; level k is one integral at g.
     s = 1.0 / g - k + 1
     return (1.0 / g - k) + (k - 2) * 33 * s * (s + 1) / 2
@@ -273,6 +274,7 @@ def _recurrence_pieces(k, g):
 
 def Q_recurrence(k, gamma):
     """Q_k(gamma): limiting k-th falling moment for the window (gamma, 1]."""
+    require_int(k=k)
     g = float(gamma)
     if k < 0:
         raise DomainError(f"need k >= 0, got {k}")
@@ -448,6 +450,7 @@ def small_simplex_ratio(k, gamma):
     Tends to k^k/k! as gamma approaches 1/k (the window degenerates to a
     right simplex of shrinking side).
     """
+    require_int(k=k)
     g = float(gamma)
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
@@ -459,23 +462,23 @@ def small_simplex_ratio(k, gamma):
 def ewens_lambda(iv: Interval, sigma):
     """integral_gamma^delta x^{-1} (1-x)^{sigma-1} dx for sigma > 0.
 
-    For delta = 1 the integrand can be singular at the right endpoint
-    (sigma < 1); the tail over [1-eps, 1], eps <= 1/2, is the series
+    sigma times this is the limiting mean count of the window's cycles under
+    Ewens(sigma).  For delta = 1 the integrand can be singular at the right
+    endpoint (sigma < 1); the tail over [1-eps, 1], eps <= 1/2, is the series
     sum_m eps^{sigma+m}/(sigma+m) after substituting t = 1-x, whose terms
-    past the 60th add under 2^-59 of it.  The head is GK15 at absolute
-    tolerance 1e-11, so the relative error stays under 1e-12 while the
-    value is not tiny: against a 50-digit route it is at most 5.3e-13 on a
-    grid of (gamma, 1] with gamma from 1e-3 to 0.999 and sigma from 1e-3 to
-    7.5, but 1.1e-2 at (0.1, 1], sigma = 300, where the value is 6.1e-16.
+    past the 60th add under 2^-59 of it.  The head is GK15 at 1e-13 times its
+    width times the integrand's smaller end value, so the rounding floor ends
+    the refinement: against a 50-digit route the relative error is under
+    1e-12 for gamma from 1e-3 to 0.999 and sigma from 1e-3 to 300 wherever
+    the value is 1e-250 or more.  Values near the subnormal range, such as
+    (0.9, 1] at sigma = 300, about 3.7e-303, are out of scope.
     """
     s = float(sigma)
     if not (math.isfinite(s) and s > 0):
         raise DomainError(f"need finite sigma > 0, got {sigma}")
     g, d = iv.g, iv.d
     f = lambda x: (1.0 - x) ** (s - 1.0) / x
-    if d < 1.0:
-        val, _ = integrate(f, g, d)
-        return val
     eps = min(0.5, (1.0 - g) / 2.0)
-    head, _ = integrate(f, g, 1.0 - eps)
-    return head + math.fsum(eps ** (s + m) / (s + m) for m in range(60))
+    end = d if d < 1.0 else 1.0 - eps
+    head, _ = integrate(f, g, end, max(1e-13 * min(f(g), f(end)) * (end - g), 1e-300))
+    return head if d < 1.0 else head + math.fsum(eps ** (s + m) / (s + m) for m in range(60))

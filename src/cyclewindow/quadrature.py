@@ -1,26 +1,22 @@
 """Adaptive one-dimensional quadrature.
 
-integrate and integrate_many use a 15-point Gauss-Kronrod pair, and
-integrate_simpson adaptive Simpson, kept for independent checks; each takes
-one setting, tol, the absolute error allowed for the whole integral.  The
-Kronrod extension of the 7-point Gauss rule is built at import time from the
-degree-8 Stieltjes polynomial with numpy's Legendre module, not pasted in as
-decimal literals; tests pin polynomial exactness through degree 23 and every
-node and weight against a 40-digit construction.
+integrate uses a 15-point Gauss-Kronrod pair, and integrate_simpson adaptive
+Simpson, kept for independent checks; each takes one setting, tol, the
+absolute error allowed for the whole integral.  The Kronrod extension of the
+7-point Gauss rule is built at import time from the degree-8 Stieltjes
+polynomial with numpy's Legendre module, not pasted in as decimal literals;
+tests pin polynomial exactness through degree 23 and every node and weight
+against a 40-digit construction.
 
 The Gauss-Kronrod nodes are interior points, so integrands may be singular
 at the interval endpoints as long as the integral itself is finite.
 
-Gauss-Kronrod refinement runs in integrate_many, which integrates a batch
-of intervals at once: every round it evaluates the integrand on all live
-panels of all integrals in one array call, halves the panels that miss
-their tolerance and adds the rest to their integrals' totals.  An integral
-receives only its own panels, in the same order whatever else the batch
-holds, so integrate(), a batch of one over a scalar integrand, gives it
-the same bits.  A panel whose error estimate is within its rounding floor,
-50*eps*|value|, is accepted, since halving cannot reduce rounding noise.
-A non-finite panel estimate, or more than MAX_LIVE_PANELS live panels in
-one integral, raises ToleranceNotMet rather than refining on to MAX_DEPTH.
+_gk15 evaluates a GK15 panel on each of many intervals in one array call;
+limit_integrals.Q_recurrence gives it one panel per kink-free piece.
+integrate refines one integral with it, breadth first: a round evaluates
+every live panel, halves those that miss their tolerance and adds the rest
+to the totals.  A panel within its rounding floor, 50*eps*|value|, is
+accepted, since halving cannot reduce rounding noise.
 
 _PiecewiseCheb holds Chebyshev series on consecutive pieces and evaluates
 them on arrays, a scalar giving a 0-d array; end() is the value at the last
@@ -93,7 +89,7 @@ GK15_NODES, GK15_WEIGHTS, GK15_GAUSS_WEIGHTS = _build_gk15()
 _NODES = np.array(GK15_NODES)
 _GK_PAIRS = tuple(zip(GK15_WEIGHTS, GK15_GAUSS_WEIGHTS))
 
-# Live panels one integral may hold in a refinement round.  The widest
+# Live panels integrate may hold in a refinement round.  The widest
 # refinement in the test suite and the benchmark holds 128 (cos(40x) on
 # [0, 10]); the rounding floor keeps a large integrand such as
 # 1/(1e-6 + (x - 1/2)^2) from refining into noise (it holds 12).  An
@@ -110,106 +106,67 @@ def _pieces(lo, hi, breakpoints):
     return list(zip(pts, pts[1:]))
 
 
-def _not_met(i, message, value=None, achieved=None, requested=None):
-    return ToleranceNotMet(f"integral {i}: {message}", value=value,
-                           achieved=achieved, requested=requested)
+def _gk15(f, lo, hi):
+    """(values, |K - G| errors): a GK15 panel on each [lo[i], hi[i]] of two arrays.
 
-
-def integrate_many(f, los, his, tol=1e-11, breakpoints=None):
-    """Integrate n integrands, integral i over [los[i], his[i]], in one pass.
-
-    f(x, owner) takes a (panels, 15) array of abscissae and the integral index
-    of each row, and returns the integrand values in the same shape.
-    breakpoints, if given, holds one iterable of kink abscissae per integral.
-    Each integral follows the rules of integrate(): its pieces between
-    breakpoints get tolerance tol*(b-a)/(hi-lo), halved at each split; a GK15
-    panel is accepted when its error is at most the larger of its tolerance
-    and its rounding floor 50*eps*|value|, or at MAX_DEPTH, and its value,
-    error and floor are then added to its integral's totals.  All live
-    panels of all integrals are refined together, breadth first, so f sees
-    one array per round and only live panels are held.
-
-    Returns (values, errors) arrays.  Raises ToleranceNotMet, naming the
-    first failing integral, when a panel estimate is not finite, when one
-    integral needs more than MAX_LIVE_PANELS live panels, or when an
-    integral's summed error exceeds tol plus its summed floors.
+    f maps a (panels, 15) array of abscissae to the integrand's values there.
     """
-    if not tol > 0:
-        raise DomainError(f"need tol > 0, got {tol}")
-    n = len(los)
-    if breakpoints is None:
-        breakpoints = [()] * n
-    owner, lo, hi, ptol = [], [], [], []
-    for i, (a, b, bps) in enumerate(zip(los, his, breakpoints)):
-        for pa, pb in _pieces(a, b, bps):
-            owner.append(i)
-            lo.append(pa)
-            hi.append(pb)
-            ptol.append(tol * (pb - pa) / (b - a))
-    owner = np.array(owner, dtype=np.intp)
-    lo, hi, ptol = np.array(lo, dtype=float), np.array(hi, dtype=float), np.array(ptol)
-    totals, errs, floors = np.zeros(n), np.zeros(n), np.zeros(n)
-    depth = 0
-    while owner.size:
-        h = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        y = f(mid[:, None] + h[:, None] * _NODES, owner)
-        kron = np.zeros(owner.size)
-        gauss = np.zeros(owner.size)
-        with np.errstate(invalid="ignore", over="ignore"):
-            # a node at a time, not y @ W: a BLAS product may sum a row in an
-            # order that depends on the batch, and the batch would move its bits
-            for j, (wk, wg) in enumerate(_GK_PAIRS):
-                kron += wk * y[:, j]
-                if wg:
-                    gauss += wg * y[:, j]
-            val = h * kron
-            # |K - G| is a conservative estimate of the Kronrod value's error
-            err = np.abs(h * (kron - gauss))
-            bad = np.flatnonzero(~np.isfinite(val + err))
-        if bad.size:
-            k = bad[0]
-            raise _not_met(int(owner[k]), f"non-finite panel estimate on "
-                           f"[{lo[k]!r}, {hi[k]!r}]", requested=float(ptol[k]))
-        floor = _FLOOR * np.abs(val)
-        split = (err > np.maximum(ptol, floor)) & (depth < MAX_DEPTH)
-        done = ~split
-        for out, panel in zip((totals, errs, floors), (val, err, floor)):
-            np.add.at(out, owner[done], panel[done])
-        lo, hi, mid = lo[split], hi[split], mid[split]
-        lo = np.column_stack((lo, mid)).ravel()
-        hi = np.column_stack((mid, hi)).ravel()
-        ptol = np.repeat(0.5 * ptol[split], 2)
-        owner = np.repeat(owner[split], 2)
-        if owner.size > MAX_LIVE_PANELS:
-            live = np.bincount(owner)
-            if live.max() > MAX_LIVE_PANELS:
-                raise _not_met(int(live.argmax()), f"more than {MAX_LIVE_PANELS} "
-                               f"live panels at depth {depth + 1}")
-        depth += 1
-    allowed = tol + floors
-    failed = np.flatnonzero(errs > allowed)
-    if failed.size:
-        i = int(failed[0])
-        raise _not_met(i, f"quadrature error estimate {errs[i]:.3e} exceeds "
-                       f"tolerance {allowed[i]:.3e}", value=float(totals[i]),
-                       achieved=float(errs[i]), requested=float(allowed[i]))
-    return totals, errs
+    h = 0.5 * (hi - lo)
+    y = f((0.5 * (lo + hi))[:, None] + h[:, None] * _NODES)
+    kron, gauss = np.zeros(lo.size), np.zeros(lo.size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # a node at a time, not y @ W: a BLAS product may sum a row in an
+        # order that depends on the number of panels
+        for j, (wk, wg) in enumerate(_GK_PAIRS):
+            kron += wk * y[:, j]
+            if wg:
+                gauss += wg * y[:, j]
+        return h * kron, np.abs(h * (kron - gauss))
 
 
 def integrate(f, lo, hi, tol=1e-11, breakpoints=()):
     """Integrate the scalar function f over [lo, hi] by adaptive GK15.
 
     breakpoints are interior abscissae where f or one of its derivatives has
-    a kink; the interval is pre-split there so no panel straddles one
-    (adaptive rules converge slowly across kinks).  Returns
-    (value, error_estimate) and raises ToleranceNotMet as integrate_many
-    does, of which this is a batch of one.
+    a kink; the interval is pre-split there, and each piece gets tolerance
+    tol*(b-a)/(hi-lo), halved at each split.  A panel is accepted when its
+    error is at most the larger of its tolerance and its rounding floor, or
+    at MAX_DEPTH.  Returns (value, error_estimate).  Raises ToleranceNotMet
+    when a panel estimate is not finite, when more than MAX_LIVE_PANELS
+    panels are live, or when the summed error exceeds tol plus the floors.
     """
-    mapped = lambda x, _owner: np.array(
-        [f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-    vals, errs = integrate_many(mapped, [lo], [hi], tol, [breakpoints])
-    return float(vals[0]), float(errs[0])
+    if not tol > 0:
+        raise DomainError(f"need tol > 0, got {tol}")
+    a, b = np.array(_pieces(lo, hi, breakpoints), dtype=float).reshape(-1, 2).T
+    ptol = tol * (b - a) / (hi - lo)
+    scalar = lambda x: np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    sums, depth = np.zeros((3, 1)), 0  # value, error and rounding floor
+    while a.size:
+        val, err = _gk15(scalar, a, b)
+        with np.errstate(invalid="ignore", over="ignore"):
+            bad = np.flatnonzero(~np.isfinite(val + err))
+        if bad.size:
+            k = bad[0]
+            raise ToleranceNotMet(f"non-finite panel estimate on [{float(a[k])!r}, "
+                                  f"{float(b[k])!r}]", requested=float(ptol[k]))
+        floor = _FLOOR * np.abs(val)
+        split = (err > np.maximum(ptol, floor)) & (depth < MAX_DEPTH)
+        # np.add.at adds the accepted panels one by one, in order
+        done = np.zeros(val.size - np.count_nonzero(split), dtype=np.intp)
+        for out, panel in zip(sums, (val, err, floor)):
+            np.add.at(out, done, panel[~split])
+        mid = 0.5 * (a + b)[split]
+        a, b = np.column_stack((a[split], mid)).ravel(), np.column_stack((mid, b[split])).ravel()
+        ptol = np.repeat(0.5 * ptol[split], 2)
+        if a.size > MAX_LIVE_PANELS:
+            raise ToleranceNotMet(f"more than {MAX_LIVE_PANELS} live panels at depth {depth + 1}")
+        depth += 1
+    (value,), (error,), (floors,) = sums.tolist()
+    if error > tol + floors:
+        raise ToleranceNotMet(f"quadrature error estimate {error:.3e} exceeds tolerance "
+                              f"{tol + floors:.3e}", value=value, achieved=error,
+                              requested=tol + floors)
+    return value, error
 
 
 def _simpson(fa, fm, fb, lo, hi):

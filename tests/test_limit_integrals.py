@@ -488,20 +488,34 @@ class TestQRecurrence:
             Q_recurrence(2, 0.0)
         with pytest.raises(DomainError):
             Q_recurrence(2, 1.5)
+        for k in (2.0, 2.5):
+            with pytest.raises(DomainError, match="k must be an integer"):
+                Q_recurrence(k, 0.3)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_the_steps_falling_moment(self, k):
+        # the k-th falling moment of the (gamma, 1] pmf from _steps_pmf, a
+        # route that shares no table or quadrature with the recurrence; the
+        # largest gap measured was 2.1e-14.  s = 1/gamma - k + 1 >= 1.8 keeps
+        # gamma away from 1/k, where Q_k falls like (1 - k*gamma)^k and the
+        # pmf's absolute rounding swamps it.
+        for s in np.geomspace(1.8, 16.0, 8).tolist():
+            g = 1.0 / (s + k - 1)
+            want = falling_moment(p_limit(Interval(g, 1.0)), k)
+            assert abs(Q_recurrence(k, g) - want) <= 1e-13 * want, (k, g)
 
     @pytest.mark.parametrize("k, g", [(3, 0.02), (4, 0.05), (4, 0.095), (6, 0.02)])
     def test_piece_count_tracks_the_first_round(self, k, g, monkeypatch):
-        # the closed-form count against the pieces integrate_many starts with
-        pieces, run = [], limit_integrals.integrate_many
+        # the closed-form count against the GK15 panels _integrate_Q evaluates
+        panels, run = [], limit_integrals._gk15
 
-        def counted(f, los, his, breakpoints):
-            pieces.append(sum(len(quadrature._pieces(a, b, bps))
-                              for a, b, bps in zip(los, his, breakpoints)))
-            return run(f, los, his, breakpoints=breakpoints)
+        def counted(f, lo, hi):
+            panels.append(lo.size)
+            return run(f, lo, hi)
 
-        monkeypatch.setattr(limit_integrals, "integrate_many", counted)
+        monkeypatch.setattr(limit_integrals, "_gk15", counted)
         Q_recurrence(k, g)
-        assert sum(pieces) <= limit_integrals._recurrence_pieces(k, g) <= 1.25 * sum(pieces)
+        assert sum(panels) <= limit_integrals._recurrence_pieces(k, g) <= 1.25 * sum(panels)
 
     def test_count_refuses_what_the_level_loop_refused(self):
         # the closed form against the loop it replaced, which added the same
@@ -1034,6 +1048,8 @@ class TestSmallSimplexRatio:
             small_simplex_ratio(2, 0.5)
         with pytest.raises(DomainError):
             small_simplex_ratio(3, 0.4)
+        with pytest.raises(DomainError, match="k must be an integer"):
+            small_simplex_ratio(2.5, 0.3)
 
 
 class TestEwensLambda:
@@ -1062,15 +1078,33 @@ class TestEwensLambda:
             x, s = 1 - mpmath.mpf(g), mpmath.mpf(sigma)
             return x ** s / s * mpmath.hyp2f1(s, 1, s + 1, x)
 
+    GAMMAS = (1e-3, 0.01, 0.1, 0.25, 0.5, 0.9, 0.999)
+    SIGMAS = (1e-3, 0.01, 0.5, 1.0, 2.0, 7.5, 50.0, 300.0)
+
     def test_to_one_within_1e_12_relative(self):
         # the tail sum used to stop at an absolute 1e-17, which cost a small
         # value its digits: 4.6e-11 relative at (0.9, 1] and 2.4e-6 at
-        # (0.999, 1], both at sigma = 7.5
-        for g in (1e-3, 0.01, 0.1, 0.25, 0.5, 0.9, 0.999):
-            for sigma in (1e-3, 0.01, 0.5, 1.0, 2.0, 7.5):
+        # (0.999, 1], both at sigma = 7.5.  The head's absolute tolerance
+        # 1e-11 did the same: (0.1, 1] and (0.25, 1] at sigma = 300 read
+        # 1.1e-2 and (0.5, 1] at sigma = 50 read 4.6e-11.  Values below
+        # 1e-250, near the subnormal range, are out of scope.
+        for g in self.GAMMAS:
+            for sigma in self.SIGMAS:
                 want = self._to_one(g, sigma)
-                got = ewens_lambda(Interval(g, 1.0), sigma)
-                assert abs(got - want) <= 1e-12 * want, (g, sigma)
+                if want >= 1e-250:
+                    got = ewens_lambda(Interval(g, 1.0), sigma)
+                    assert abs(got - want) <= 1e-12 * want, (g, sigma)
+
+    def test_below_one_within_1e_12_relative(self):
+        # (0.1, 0.9995] at sigma = 300 read 4.9e-2 at an absolute tolerance
+        for g in self.GAMMAS:
+            for d in [0.9995] + ([2 * g] if 2 * g < 0.95 else []):
+                for sigma in self.SIGMAS:
+                    with mpmath.workdps(50):
+                        want = self._to_one(g, sigma) - self._to_one(d, sigma)
+                    if want >= 1e-250:
+                        got = ewens_lambda(Interval(g, d), sigma)
+                        assert abs(got - want) <= 1e-12 * want, (g, d, sigma)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -12,7 +12,7 @@ from numpy.polynomial.chebyshev import Chebyshev, chebvander
 from cyclewindow.errors import DomainError, ToleranceNotMet
 from cyclewindow.quadrature import (
     GK15_GAUSS_WEIGHTS, GK15_NODES, GK15_WEIGHTS, MAX_DEPTH, MAX_LIVE_PANELS,
-    _antiderivative, _integral, _interp_pieces, _PiecewiseCheb, integrate, integrate_many, integrate_simpson,
+    _antiderivative, _integral, _interp_pieces, _PiecewiseCheb, integrate, integrate_simpson,
 )
 
 
@@ -88,7 +88,6 @@ _STEP = lambda x: 1.0 if x > 1 / 3 else 0.0
 class TestConfig:
     def test_defaults(self):
         assert inspect.signature(integrate).parameters["tol"].default == 1e-11
-        assert inspect.signature(integrate_many).parameters["tol"].default == 1e-11
         assert MAX_DEPTH == 40
 
     @pytest.mark.parametrize("kwargs", [
@@ -98,8 +97,7 @@ class TestConfig:
     ])
     def test_invalid_config_rejected(self, kwargs):
         for call in (lambda: integrate(math.exp, 0.0, 1.0, **kwargs),
-                     lambda: integrate_simpson(math.exp, 0.0, 1.0, **kwargs),
-                     lambda: integrate_many(_batch_integrand, [0.0], [1.0], **kwargs)):
+                     lambda: integrate_simpson(math.exp, 0.0, 1.0, **kwargs)):
             with pytest.raises(DomainError):
                 call()
 
@@ -153,6 +151,37 @@ class TestIntegrate:
         want = 2.0 / 1e-3 * math.atan(0.5 / 1e-3)
         assert abs(val - want) < 1e-6
 
+    def test_noisy_integrand_hits_live_panel_cap(self):
+        # every panel splits until 2^17 are live: 2^17 - 1 panels of 15 calls,
+        # about 2 s on a 2-vCPU host
+        rng = np.random.default_rng(20260815)
+        calls = 0
+
+        def noisy(x):
+            nonlocal calls
+            calls += 1
+            return rng.random()
+
+        started = time.perf_counter()
+        with pytest.raises(ToleranceNotMet, match=f"more than {MAX_LIVE_PANELS} live panels"):
+            integrate(noisy, 0.0, 1.0)
+        assert calls == 15 * (2 * MAX_LIVE_PANELS - 1)
+        assert time.perf_counter() - started < 5.0
+
+    def test_needle_stops_at_the_rounding_floor(self):
+        # without the floor this refined into rounding noise down to
+        # MAX_DEPTH, holding 38,018 live panels; with it, 107 panels
+        calls = 0
+
+        def needle(x):
+            nonlocal calls
+            calls += 1
+            return 1.0 / (1e-6 + (x - 0.5) ** 2)
+
+        val, _ = integrate(needle, 0.0, 1.0)
+        assert abs(val - 2.0 / 1e-3 * math.atan(0.5 / 1e-3)) < 1e-9
+        assert calls <= 1605
+
     @pytest.mark.parametrize("rule", [integrate, integrate_simpson],
                              ids=["gauss-kronrod-15", "adaptive-simpson"])
     def test_nan_integrand_raises(self, rule):
@@ -165,98 +194,6 @@ class TestIntegrate:
         f = lambda x: math.inf if x > 0.7 else 1.0
         with pytest.raises(ToleranceNotMet, match="non-finite"):
             rule(f, 0.0, 1.0, 1e-11)
-
-
-# Integrand families in vectorized (x, owner) form and their scalar twins.
-_FAMILY = (np.exp, lambda x: np.sqrt(np.abs(x - 1 / 3)),
-           lambda x: 1.0 / (1.0 + 25.0 * x * x),
-           lambda x: np.cos(3 * x))
-
-
-def _batch_integrand(x, own):
-    out = np.empty_like(x)
-    for p, fn in enumerate(_FAMILY):
-        rows = own % len(_FAMILY) == p
-        out[rows] = fn(x[rows])
-    return out
-
-
-def _scalar_integrand(i):
-    return lambda x: float(_batch_integrand(np.array([[x]]), np.array([i]))[0, 0])
-
-
-class TestIntegrateMany:
-    LOS = [0.0, 0.0, 0.0, -1.0, 1.0, 0.2, 0.5, 2.0]
-    HIS = [1.0, 1.0, 1.0, 2.0, 1.0, 0.9, 0.25, 5.0]
-    BRKS = [(), (1 / 3, 7.0), (0.5,), (0.0, 1.0, 0.0), (), (1 / 3,), (0.3,), (3.0, 4.0)]
-
-    @pytest.mark.parametrize("tol", [1e-11, 1e-8])
-    def test_equals_per_interval_integrate(self, tol):
-        vals, errs = integrate_many(_batch_integrand, self.LOS, self.HIS, tol,
-                                    self.BRKS)
-        assert vals.shape == errs.shape == (len(self.LOS),)
-        for i, (lo, hi, brks) in enumerate(zip(self.LOS, self.HIS, self.BRKS)):
-            # the same bits: an integral's panels are summed alike in any batch
-            want, want_err = integrate(_scalar_integrand(i), lo, hi, tol, brks)
-            assert (vals[i].hex(), errs[i].hex()) == (want.hex(), want_err.hex())
-
-    def test_empty_entries_are_zero(self):
-        vals, errs = integrate_many(_batch_integrand, [0.0, 1.0, 3.0],
-                                    [1.0, 1.0, 2.0])
-        assert vals[1] == vals[2] == errs[1] == errs[2] == 0.0
-        assert vals[0] == pytest.approx(math.e - 1.0, abs=1e-13)
-
-    def test_empty_batch(self):
-        vals, errs = integrate_many(_batch_integrand, [], [])
-        assert vals.shape == errs.shape == (0,)
-
-    def test_failure_names_the_failing_integral(self):
-        # integral 1 (the step at 1/3) cannot meet 1e-15 by MAX_DEPTH; the
-        # others can, and do not change its diagnostics
-        step = lambda x, own: np.where(own[:, None] == 1, x > 1 / 3, np.exp(x))
-        with pytest.raises(ToleranceNotMet) as alone:
-            integrate(_STEP, 0.0, 1.0, 1e-15)
-        with pytest.raises(ToleranceNotMet, match="integral 1:") as batch:
-            integrate_many(step, [0.0, 0.0, 0.5], [1.0, 1.0, 1.0], 1e-15)
-        assert batch.value.value == alone.value.value
-        assert batch.value.achieved == alone.value.achieved
-        assert batch.value.requested == alone.value.requested
-
-    def test_each_integral_meets_its_own_tolerance(self):
-        # one kink integral spends 71% of its 1e-9 budget; three in a batch
-        # pass, because each is held to its own tolerance, not their sum
-        _, err = integrate(_scalar_integrand(1), 0.0, 1.0, 1e-9)
-        assert 0.5e-9 < err <= 1e-9
-        his = [1.0 if i % 4 == 1 else 0.0 for i in range(10)]  # 1, 5, 9
-        _, errs = integrate_many(_batch_integrand, [0.0] * 10, his, 1e-9)
-        assert list(errs[[1, 5, 9]]) == [err] * 3
-        assert errs.sum() > 1e-9
-
-    def test_nan_in_one_integral_names_it(self):
-        f = lambda x, own: np.where(own[:, None] == 2, np.nan, x)
-        with pytest.raises(ToleranceNotMet, match="integral 2: non-finite"):
-            integrate_many(f, [0.0] * 3, [1.0] * 3)
-
-    def test_noisy_integrand_hits_live_panel_cap_fast(self):
-        rng = np.random.default_rng(20260815)
-        started = time.perf_counter()
-        with pytest.raises(ToleranceNotMet, match=f"more than {MAX_LIVE_PANELS}"):
-            integrate_many(lambda x, own: rng.random(x.shape), [0.0], [1.0])
-        assert time.perf_counter() - started < 1.0
-
-    def test_needle_stops_at_the_rounding_floor(self):
-        # without the floor this refined into rounding noise down to
-        # MAX_DEPTH, holding 38,018 live panels
-        widest = 0
-
-        def needle(x, own):
-            nonlocal widest
-            widest = max(widest, len(x))
-            return 1.0 / (1e-6 + (x - 0.5) ** 2)
-
-        vals, _ = integrate_many(needle, [0.0], [1.0])
-        assert abs(vals[0] - 2.0 / 1e-3 * math.atan(0.5 / 1e-3)) < 1e-9
-        assert widest <= 48
 
 
 # (bounds, fn) pairs with kinks at interior bounds
