@@ -77,10 +77,11 @@ class Interval:
 # singular at (m-1)*gamma, so the pieces are also graded at m*gamma + gamma*2^i.
 
 # The one support cap of p_limit, and the order cap of the sliced moments.  On
-# windows (gamma, 1] it caps cost: the steps take about 0.25 s at support 1000.
-# On the ladder it guards overflow, but not tightly: p_limit's delta < 1 windows
-# build only the orders _ladder_pmf's cut keeps, but q_limit and
-# sliced_cube_integral build every order, and high ones overflow in _layout.
+# windows (gamma, 1] it caps cost: the steps take about 0.14 s at support 1000
+# (2 vCPU).  On the ladder it guards overflow, but not tightly: p_limit's
+# delta < 1 windows build only the orders _ladder_pmf's cut keeps, but q_limit
+# and sliced_cube_integral build every order, and high ones lose their digits
+# (a sign lost past the error estimate raises DomainError).
 LADDER_MAX_ORDER = 1000
 
 
@@ -178,7 +179,8 @@ def sliced_cube_integral(r, iv: Interval, c, with_error=False):
 
     Exactly 0, before any level is built, when r*gamma >= c (the region is
     empty or degenerate); 1 when r = 0.  Otherwise order r of _moments,
-    clamped at 0.
+    clamped at 0 when it is negative within its error estimate; a value below
+    minus that estimate has lost its sign to rounding and raises DomainError.
     with_error also returns its error terms, plus eps times 8*r*|value| and,
     for node rounding, scale = min(c, r*delta), which bounds every node, times
     each integrand's total variation.  Level m's integrand f_m, 2 <= m < r,
@@ -196,6 +198,9 @@ def sliced_cube_integral(r, iv: Interval, c, with_error=False):
         val, low = values[-1], ([0.0, 1.0] + values)[-3]  # I_{r-2}: 1 at r = 2, 0 at r = 1
         variation = 4 * sum(map(abs, values[:-2])) + 5 * r * math.log(iv.d / iv.g) * abs(low)
         err = tail + math.ulp(1.0) * (8 * r * abs(val) + min(c, r * iv.d) / iv.g * variation)
+        if val < -err:
+            raise DomainError(f"order {r} on ({iv.g}, {iv.d}] at c={c} lost its sign: "
+                              f"{val:.3e} below its error estimate {err:.3e}")
         val = max(val, 0.0)  # a positive integral: err covers the clamped value too
     return (val, err) if with_error else val
 
@@ -437,6 +442,7 @@ def argmax_p(i, lo, hi):
     unimodality of the objective on [lo, hi]; a monotone objective gives the
     end it rises to.
     """
+    require_int(i=i)
     if not 0.0 < lo < hi <= 1.0:
         raise DomainError(f"need 0 < lo < hi <= 1, got ({lo}, {hi})")
     if i < 0 or i > support_bound(lo):

@@ -1,22 +1,22 @@
 """Adaptive one-dimensional quadrature.
 
-integrate uses a 15-point Gauss-Kronrod pair, and integrate_simpson adaptive
-Simpson, kept for independent checks; each takes one setting, tol, the
-absolute error allowed for the whole integral.  The Kronrod extension of the
-7-point Gauss rule is built at import time from the degree-8 Stieltjes
-polynomial with numpy's Legendre module, not pasted in as decimal literals;
-tests pin polynomial exactness through degree 23 and every node and weight
-against a 40-digit construction.
+integrate uses a 15-point Gauss-Kronrod pair, and integrate_simpson
+Richardson-corrected Simpson, kept for independent checks; each takes one
+setting, tol, the absolute error allowed for the whole integral.  The Kronrod
+extension of the 7-point Gauss rule is built at import time from the degree-8
+Stieltjes polynomial with numpy's Legendre module, not pasted in as decimal
+literals; tests pin polynomial exactness through degree 23 and every node and
+weight against a 40-digit construction.
 
 The Gauss-Kronrod nodes are interior points, so integrands may be singular
 at the interval endpoints as long as the integral itself is finite.
 
-_gk15 evaluates a GK15 panel on each of many intervals in one array call;
-limit_integrals.Q_recurrence gives it one panel per kink-free piece.
-integrate refines one integral with it, breadth first: a round evaluates
-every live panel, halves those that miss their tolerance and adds the rest
-to the totals.  A panel within its rounding floor, 50*eps*|value|, is
-accepted, since halving cannot reduce rounding noise.
+One loop, _refine, serves both rules, breadth first: a round evaluates every
+live panel in one call of the rule (_gk15 or _simpson, each taking arrays of
+panel ends), halves those that miss their tolerance and adds the rest to the
+totals.  A panel within its rounding floor, 50*eps*|value|, is accepted,
+since halving cannot reduce rounding noise.  limit_integrals.Q_recurrence
+gives _gk15 one panel per kink-free piece, with no refinement.
 
 _PiecewiseCheb holds Chebyshev series on consecutive pieces and evaluates
 them on arrays, a scalar giving a 0-d array; end() is the value at the last
@@ -37,8 +37,6 @@ with a fixed matrix, for a stack of integrands read in one call.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.polynomial import legendre as leg
 from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
@@ -47,7 +45,7 @@ from .errors import DomainError, ToleranceNotMet
 
 MAX_DEPTH = 40  # a panel this deep is accepted whatever its error estimate
 _EPS = np.finfo(float).eps
-_FLOOR = 50 * _EPS  # GK15 rounding floor, relative to |value|
+_FLOOR = 50 * _EPS  # a panel's rounding floor, relative to |value|
 
 
 def _build_gk15():
@@ -89,21 +87,12 @@ GK15_NODES, GK15_WEIGHTS, GK15_GAUSS_WEIGHTS = _build_gk15()
 _NODES = np.array(GK15_NODES)
 _GK_PAIRS = tuple(zip(GK15_WEIGHTS, GK15_GAUSS_WEIGHTS))
 
-# Live panels integrate may hold in a refinement round.  The widest
-# refinement in the test suite and the benchmark holds 128 (cos(40x) on
-# [0, 10]); the rounding floor keeps a large integrand such as
-# 1/(1e-6 + (x - 1/2)^2) from refining into noise (it holds 12).  An
-# integrand that never settles would otherwise double its panels every round
-# up to MAX_DEPTH.
+# Live panels _refine may hold in a round.  The widest refinement in the test
+# suite and the benchmark holds 128 (cos(40x) on [0, 10]); the rounding floor
+# keeps a large integrand such as 1/(1e-6 + (x - 1/2)^2) from refining into
+# noise (it holds 12).  An integrand that never settles would otherwise double
+# its panels every round up to MAX_DEPTH.
 MAX_LIVE_PANELS = 1 << 16
-
-
-def _pieces(lo, hi, breakpoints):
-    """Consecutive (a, b) pieces of [lo, hi] split at its interior breakpoints."""
-    if hi <= lo:
-        return []
-    pts = [lo] + sorted(p for p in set(breakpoints) if lo < p < hi) + [hi]
-    return list(zip(pts, pts[1:]))
 
 
 def _gk15(f, lo, hi):
@@ -124,25 +113,36 @@ def _gk15(f, lo, hi):
         return h * kron, np.abs(h * (kron - gauss))
 
 
-def integrate(f, lo, hi, tol=1e-11, breakpoints=()):
-    """Integrate the scalar function f over [lo, hi] by adaptive GK15.
+def _simpson(f, lo, hi):
+    """(values, errors): a Richardson-corrected Simpson panel on each [lo[i], hi[i]].
 
-    breakpoints are interior abscissae where f or one of its derivatives has
-    a kink; the interval is pre-split there, and each piece gets tolerance
-    tol*(b-a)/(hi-lo), halved at each split.  A panel is accepted when its
-    error is at most the larger of its tolerance and its rounding floor, or
-    at MAX_DEPTH.  Returns (value, error_estimate).  Raises ToleranceNotMet
-    when a panel estimate is not finite, when more than MAX_LIVE_PANELS
-    panels are live, or when the summed error exceeds tol plus the floors.
+    f maps a (panels, 5) array of abscissae, each panel's ends, quarter points
+    and midpoint, to the integrand's values there.  With whole Simpson's rule
+    on the panel and left, right on its halves, delta = left + right - whole
+    gives the value left + right + delta/15 and the error |delta|/15.
     """
+    mid = 0.5 * (lo + hi)
+    fa, flm, fm, frm, fb = f(np.column_stack((lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi))).T
+    with np.errstate(invalid="ignore", over="ignore"):
+        whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+        left = (mid - lo) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (hi - mid) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        return left + right + delta / 15.0, np.abs(delta) / 15.0
+
+
+def _refine(rule, f, lo, hi, tol, breakpoints):
+    """integrate()'s loop with rule(f, lo, hi) -> (values, errors) on arrays of panel ends."""
     if not tol > 0:
         raise DomainError(f"need tol > 0, got {tol}")
-    a, b = np.array(_pieces(lo, hi, breakpoints), dtype=float).reshape(-1, 2).T
+    # the pieces of [lo, hi] between its interior breakpoints
+    pts = [lo] + sorted(p for p in set(breakpoints) if lo < p < hi) + [hi] if hi > lo else []
+    a, b = np.array(pts[:-1], dtype=float), np.array(pts[1:], dtype=float)
     ptol = tol * (b - a) / (hi - lo)
     scalar = lambda x: np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
     sums, depth = np.zeros((3, 1)), 0  # value, error and rounding floor
     while a.size:
-        val, err = _gk15(scalar, a, b)
+        val, err = rule(scalar, a, b)
         with np.errstate(invalid="ignore", over="ignore"):
             bad = np.flatnonzero(~np.isfinite(val + err))
         if bad.size:
@@ -169,53 +169,28 @@ def integrate(f, lo, hi, tol=1e-11, breakpoints=()):
     return value, error
 
 
-def _simpson(fa, fm, fb, lo, hi):
-    return (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+def integrate(f, lo, hi, tol=1e-11, breakpoints=()):
+    """Integrate the scalar function f over [lo, hi] by adaptive GK15.
 
-
-def _adapt_simpson(f, lo, hi, fa, fm, fb, whole, tol, depth):
-    mid = 0.5 * (lo + hi)
-    lm = 0.5 * (lo + mid)
-    rm = 0.5 * (mid + hi)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, lo, mid)
-    right = _simpson(fm, frm, fb, mid, hi)
-    delta = left + right - whole
-    if not math.isfinite(delta):
-        raise ToleranceNotMet(f"non-finite panel estimate on [{lo!r}, {hi!r}]",
-                              requested=tol)
-    err = abs(delta) / 15.0
-    if err <= tol or depth >= MAX_DEPTH:
-        return left + right + delta / 15.0, err
-    v1, e1 = _adapt_simpson(f, lo, mid, fa, flm, fm, left, 0.5 * tol, depth + 1)
-    v2, e2 = _adapt_simpson(f, mid, hi, fm, frm, fb, right, 0.5 * tol, depth + 1)
-    return v1 + v2, e1 + e2
+    breakpoints are interior abscissae where f or one of its derivatives has
+    a kink; the interval is pre-split there, and each piece gets tolerance
+    tol*(b-a)/(hi-lo), halved at each split.  A panel is accepted when its
+    error is at most the larger of its tolerance and its rounding floor, or
+    at MAX_DEPTH.  Returns (value, error_estimate).  Raises ToleranceNotMet
+    when a panel estimate is not finite, when more than MAX_LIVE_PANELS
+    panels are live, or when the summed error exceeds tol plus the floors.
+    """
+    return _refine(_gk15, f, lo, hi, tol, breakpoints)
 
 
 def integrate_simpson(f, lo, hi, tol, breakpoints=()):
     """Integrate the scalar function f over [lo, hi] by adaptive Simpson.
 
-    A scalar recursion with Richardson-corrected panels, kept as a rule that
-    shares no nodes with GK15.  breakpoints, the return value and the
-    failures are as in integrate(), without the rounding floor.
+    integrate()'s refinement on Richardson-corrected Simpson panels, a rule
+    that shares no nodes with GK15 and evaluates f at the panel ends too.
+    breakpoints, the return value and the failures are as in integrate().
     """
-    if not tol > 0:
-        raise DomainError(f"need tol > 0, got {tol}")
-    width = hi - lo
-    total = 0.0
-    err = 0.0
-    for a, b in _pieces(lo, hi, breakpoints):
-        fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-        whole = _simpson(fa, fm, fb, a, b)
-        v, e = _adapt_simpson(f, a, b, fa, fm, fb, whole, tol * (b - a) / width, 0)
-        total += v
-        err += e
-    if err > tol:
-        raise ToleranceNotMet(
-            f"quadrature error estimate {err:.3e} exceeds tolerance {tol:.3e}",
-            value=total, achieved=err, requested=tol)
-    return total, err
+    return _refine(_simpson, f, lo, hi, tol, breakpoints)
 
 
 # --- piecewise Chebyshev tables ---------------------------------------------

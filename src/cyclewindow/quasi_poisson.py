@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import DomainError, InvalidMomentsError
+from .errors import DomainError, InvalidMomentsError, require_int
 
 _CLAMP_FLOOR = -1e-9
 INVERSION_MAX_ORDER = 2000  # the O(r^2) moment inversion takes about 1 s there
@@ -91,6 +91,7 @@ def qp_pmf(r, lam):
 
     p_i = sum_{j=i}^{r} binom(j, i) (-1)^{j-i} lam^j / j!
     """
+    require_int(r=r)
     if not 1 <= r <= INVERSION_MAX_ORDER:
         raise DomainError(f"need 1 <= r <= {INVERSION_MAX_ORDER}, got {r}")
     if not 0 <= lam <= 1:
@@ -100,6 +101,7 @@ def qp_pmf(r, lam):
 
 def falling_moment(pmf: Pmf, k):
     """E[(X)_k] = sum_i i(i-1)...(i-k+1) p_i for X ~ pmf."""
+    require_int(k=k)
     if k < 0:
         raise DomainError(f"need k >= 0, got {k}")
     if k == 0:
@@ -152,6 +154,7 @@ def pmf_from_falling_moments(mv: MomentVector):
 
 def binomial_matrices(n):
     """(B, B_inv) with B[i][j] = binom(j, i), signed inverse; exact ints."""
+    require_int(n=n)
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
     if n > 20:

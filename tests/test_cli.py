@@ -47,6 +47,12 @@ class TestReport:
         assert "pmf:" in text and "0: 0.25" in text
         assert "window: [2, 3]" in text  # short lists shown inline
 
+    def test_table_shows_a_rows_result_row_by_row(self):
+        rep = Report(command="figure", params={},
+                     results={"rows": [[0.25, 0.5], [0.75, 1.0]], "rows_columns": ["a", "b"]})
+        lines = rep.to_table().splitlines()
+        assert lines[1:4] == ["rows:", "  0.25  0.5", "  0.75  1.0"]
+
     def test_csv_keeps_longest_aligned_lists(self):
         rep = Report(command="exact-pmf", params={},
                      results={"window": [2, 4], "pmf": [0.5, 0.25, 0.25]})
@@ -362,6 +368,13 @@ class TestExitCodes:
             assert rc == 2
             assert "error:" in err
 
+    def test_moment_that_lost_its_sign_exits_2(self, capsys):
+        # once printed q_r: 0.0 next to an error estimate of 5.1e87
+        rc, out, err = run_capture(capsys, "limit-moment", "--r", "200",
+                                   "--gamma", "1/1000", "--delta", "0.9")
+        assert rc == 2
+        assert "lost its sign" in err and out == ""
+
     def test_oversized_qp_exits_2(self, capsys):
         t0 = time.perf_counter()
         rc, _, err = run_capture(capsys, "qp", "--r", "1000000000", "--lambda", "0.5")
@@ -374,6 +387,13 @@ class TestExitCodes:
                                  "0.5", "--delta", "1", "--csv")
         assert rc == 0
         assert out.splitlines()[0] == "i,pmf"
+
+    def test_csv_scalars_are_name_value_rows(self, capsys):
+        rc, out, _ = run_capture(capsys, "gamma-star", "--csv")
+        assert rc == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row[0] for row in rows] == ["name", "gamma_star", "P0", "P1", "P2"]
+        assert float(rows[1][1]) == pytest.approx(1 / (1 + math.exp(0.5)), abs=1e-9)
 
 
 def _package_env():

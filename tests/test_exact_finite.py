@@ -124,6 +124,12 @@ class TestJointFallingMoment:
         with pytest.raises(DomainError):
             joint_falling_moment(4, CycleSpec(((5, 1),)))
 
+    @pytest.mark.parametrize("entries, match", [(((0, 1),), "cycle length 0"),
+                                                (((3, 0),), "multiplicity exponent 0")])
+    def test_non_positive_entries_rejected(self, entries, match):
+        with pytest.raises(DomainError, match=match):
+            CycleSpec(entries)
+
 
 class TestExactPmf:
     def test_n1(self):
@@ -257,6 +263,11 @@ class TestBruteForce:
 class TestExactFallingMoment:
     def test_r0(self):
         assert exact_falling_moment(7, IntWindow(3, 5), 0) == 1
+
+    @pytest.mark.parametrize("n, r, match", [(0, 2, "n >= 1"), (7, -1, "r >= 0")])
+    def test_domain(self, n, r, match):
+        with pytest.raises(DomainError, match=match):
+            exact_falling_moment(n, IntWindow(3, 5), r)
 
     def test_harmonic_mean(self):
         want = Fraction(1, 6) + Fraction(1, 7) + Fraction(1, 8) + \

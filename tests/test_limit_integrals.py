@@ -365,6 +365,11 @@ class TestSlicedCubeIntegral:
         for c in (1e6, math.inf):  # refused before ln(10)^2000 can overflow
             with pytest.raises(DomainError, match="ladder"):
                 sliced_cube_integral(2000, Interval(0.1, 1), c)
+        # 200/1000 < 1, so both are positive; the ladder reads -2.6e97 and
+        # -2.4e118 against estimates of 5.1e87 and 6.2e108, once returned as 0.0
+        for r in (200, 250):
+            with pytest.raises(DomainError, match="lost its sign"):
+                q_limit(r, Interval(1 / 1000, 0.9))
 
 
 class TestQ2Oracle:
@@ -1018,6 +1023,8 @@ class TestArgmaxP:
             argmax_p(1, 0.5, 0.4)
         with pytest.raises(DomainError):
             argmax_p(4, 0.3, 0.5)  # index beyond support at lo
+        with pytest.raises(DomainError, match="must be an integer"):
+            argmax_p(1.5, 0.34, 0.49)  # once a TypeError
 
 
 class TestSmallSimplexRatio:

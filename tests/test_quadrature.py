@@ -132,9 +132,11 @@ class TestIntegrate:
         assert abs(val - (math.e - 1.0)) < 1e-10
         assert err < 1e-10
 
-    def test_tol_below_rounding_returns(self):
+    @pytest.mark.parametrize("rule", [integrate, integrate_simpson],
+                             ids=["gauss-kronrod-15", "adaptive-simpson"])
+    def test_tol_below_rounding_returns(self, rule):
         # tol 1e-300 is far below eps*|integral|; the rounding floor accepts
-        val, err = integrate(lambda x: 1e6 * math.exp(x), 0.0, 1.0, 1e-300)
+        val, err = rule(lambda x: 1e6 * math.exp(x), 0.0, 1.0, 1e-300)
         want = 1e6 * (math.e - 1.0)
         assert abs(val - want) <= 1e-13 * want
         assert err <= 1e-13 * want
@@ -151,9 +153,11 @@ class TestIntegrate:
         want = 2.0 / 1e-3 * math.atan(0.5 / 1e-3)
         assert abs(val - want) < 1e-6
 
-    def test_noisy_integrand_hits_live_panel_cap(self):
-        # every panel splits until 2^17 are live: 2^17 - 1 panels of 15 calls,
-        # about 2 s on a 2-vCPU host
+    @pytest.mark.parametrize("rule, points", [(integrate, 15), (integrate_simpson, 5)],
+                             ids=["gauss-kronrod-15", "adaptive-simpson"])
+    def test_noisy_integrand_hits_live_panel_cap(self, rule, points):
+        # every panel splits until 2^17 are live: 2^17 - 1 panels of 15 calls
+        # (GK15) or 5 (Simpson), about 2 s at most on a 2-vCPU host
         rng = np.random.default_rng(20260815)
         calls = 0
 
@@ -164,8 +168,8 @@ class TestIntegrate:
 
         started = time.perf_counter()
         with pytest.raises(ToleranceNotMet, match=f"more than {MAX_LIVE_PANELS} live panels"):
-            integrate(noisy, 0.0, 1.0)
-        assert calls == 15 * (2 * MAX_LIVE_PANELS - 1)
+            rule(noisy, 0.0, 1.0, 1e-11)
+        assert calls == points * (2 * MAX_LIVE_PANELS - 1)
         assert time.perf_counter() - started < 5.0
 
     def test_needle_stops_at_the_rounding_floor(self):

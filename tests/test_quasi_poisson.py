@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cyclewindow.errors import DomainError, InvalidMomentsError
 from cyclewindow.limit_integrals import _ladder
 from cyclewindow.quasi_poisson import (
-    MomentVector, Pmf, _is_exact, binomial_matrices, falling_moment,
+    INVERSION_MAX_ORDER, MomentVector, Pmf, _is_exact, binomial_matrices, falling_moment,
     pmf_from_falling_moments, qp_pmf,
 )
 
@@ -79,7 +79,7 @@ class TestQpPmf:
         assert falling_moment(pmf, 2) == Fraction(1, 16)
 
     @pytest.mark.parametrize("r,lam", [(0, 0.5), (-1, 0.5), (3, -0.01), (3, 1.01),
-                                       (100_000, 0.5)])
+                                       (100_000, 0.5), (3.0, 0.5), (2.5, 0.5)])
     def test_domain(self, r, lam):
         with pytest.raises(DomainError):
             qp_pmf(r, lam)
@@ -112,6 +112,8 @@ class TestFallingMoment:
     def test_negative_k(self):
         with pytest.raises(DomainError):
             falling_moment(Pmf((1.0,)), -1)
+        with pytest.raises(DomainError, match="must be an integer"):
+            falling_moment(qp_pmf(3, 0.5), 1.5)  # once a TypeError
 
 
 class TestInversion:
@@ -153,6 +155,10 @@ class TestInversion:
     def test_invalid_moments_rejected(self):
         with pytest.raises(InvalidMomentsError):
             pmf_from_falling_moments(MomentVector((1, 2, 0)))
+
+    def test_order_past_the_cap_is_refused(self):
+        with pytest.raises(DomainError, match="moment inversion stops"):
+            pmf_from_falling_moments(MomentVector((1.0,) + (0.0,) * (INVERSION_MAX_ORDER + 1)))
 
     def test_moment_vector_validation(self):
         with pytest.raises(DomainError):
@@ -216,6 +222,8 @@ class TestBinomialMatrices:
             binomial_matrices(21)
         with pytest.raises(DomainError):
             binomial_matrices(-1)
+        with pytest.raises(DomainError, match="must be an integer"):
+            binomial_matrices(2.5)  # once a TypeError
 
 
 class TestPmfType:
