@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import legendre as leg
-from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
+from numpy.polynomial.chebyshev import chebint, chebpts1, chebval, chebvander
+from numpy.polynomial.polyutils import mapdomain, mapparms
 
 from .errors import DomainError, ToleranceNotMet
 
@@ -225,19 +226,15 @@ class _PiecewiseCheb:
     first, in the piece's own variable on [-1, 1].  left/right give the value
     outside the tabulated range; None clamps to the nearest endpoint (for
     queries that only stray past it by roundoff).  Calls take arrays: each
-    point's piece is found by searchsorted and all points run one Clenshaw
-    recurrence together, in numpy's mapdomain/chebval operation order, so
+    point's piece is found by searchsorted, mapped to [-1, 1] in numpy's
+    mapdomain order and read by one chebval on its piece's coefficients, so
     values are bit-identical to Chebyshev(coef[i], domain=[a, b])(t).
     """
 
     def __init__(self, bounds, coef, left, right):
         self.bounds = b = np.array(bounds, dtype=float)
-        lo, hi = b[:-1], b[1:]
-        # numpy's mapparms from each piece's domain to the window [-1, 1]
-        self.off = (hi * -1.0 - lo * 1.0) / (hi - lo)
-        self.scl = 2.0 / (hi - lo)
-        # row k holds coefficient k of every piece, highest degree first
-        self.coef = np.ascontiguousarray(np.asarray(coef, dtype=float)[:, ::-1].T)
+        self.off, self.scl = mapparms((b[:-1], b[1:]), (-1.0, 1.0))  # each piece to [-1, 1]
+        self.coef = np.asarray(coef, dtype=float)
         self.left = left
         self.right = right
 
@@ -246,8 +243,8 @@ class _PiecewiseCheb:
         b = self.bounds
         tc = np.clip(t, b[0], b[-1])
         i = np.minimum(np.searchsorted(b, tc, side="right") - 1, len(b) - 2)
-        # one gather of every point's piece coefficients, not one per step
-        out = _clenshaw(self.off[i] + self.scl[i] * tc, *self.coef[:, i])
+        # take gathers every point's piece coefficients as contiguous (degree,) + t.shape rows
+        out = chebval(self.off[i] + self.scl[i] * tc, self.coef.T.take(i, axis=1), tensor=False)
         if self.left is not None:
             out = np.where(t <= b[0], self.left, out)
         if self.right is not None:
@@ -256,15 +253,8 @@ class _PiecewiseCheb:
 
     def end(self):
         """The value at the last bound: right if set, else the last piece's coefficient sum."""
-        return float(self.coef[:, -1].sum()) if self.right is None else float(self.right)
-
-
-def _clenshaw(x, c1, c0, *rows):
-    # numpy's chebval recurrence, highest coefficient first, with numpy's bits
-    x2 = 2 * x
-    for a in rows:
-        c0, c1 = a - c1, c0 + c1 * x2
-    return c0 + c1 * x
+        # highest degree first: a converging series adds its smallest terms first
+        return float(self.coef[-1, ::-1].sum()) if self.right is None else float(self.right)
 
 
 def _dedupe(points):
@@ -277,9 +267,7 @@ def _dedupe(points):
 
 def _nodes(b):
     """The 33 first-kind Chebyshev nodes of each piece of the bounds array b, a row each."""
-    lo, hi = b[:-1, None], b[1:, None]
-    # numpy's mapdomain from the window [-1, 1] to each piece
-    return (lo + hi) / 2.0 + (hi - lo) / 2.0 * _CHEB_PTS
+    return mapdomain(_CHEB_PTS, (-1.0, 1.0), (b[:-1, None], b[1:, None]))
 
 
 def _interp_pieces(bounds, fn):

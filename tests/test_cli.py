@@ -375,6 +375,13 @@ class TestExitCodes:
         assert rc == 2
         assert "lost its sign" in err and out == ""
 
+    def test_moment_past_float64_exits_2(self, capsys):
+        # once printed q_r: 0.0 and estimate: NaN, which is not JSON, and exited 0
+        rc, out, err = run_capture(capsys, "limit-moment", "--r", "999", "--gamma",
+                                   "0.0010005", "--delta", "0.999", "--json")
+        assert rc == 2
+        assert "overflows float64" in err and out == ""
+
     def test_oversized_qp_exits_2(self, capsys):
         t0 = time.perf_counter()
         rc, _, err = run_capture(capsys, "qp", "--r", "1000000000", "--lambda", "0.5")

@@ -354,6 +354,27 @@ class TestSlicedCubeIntegral:
         assert sliced_cube_integral(2, iv, math.inf) == pytest.approx(
             math.log(0.8 / 0.3) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [Fraction(1), Fraction(3, 2)])
+    def test_fraction_slice_reads_as_its_float(self, c):
+        # a Fraction slice once made the levels' arrays object arrays (TypeError)
+        iv = Interval(0.3, 0.8)
+        for r in range(1, 5):
+            got = sliced_cube_integral(r, iv, c, with_error=True)
+            want = sliced_cube_integral(r, iv, float(c), with_error=True)
+            assert [x.hex() for x in got] == [x.hex() for x in want], r
+
+    @pytest.mark.parametrize("g, d", [(0.05, 0.6), (0.1, 0.35), (0.19, 0.5),
+                                      (1 / 8.3, 1 / 2.3), (0.26, 0.9), (1 / 10.3, 1.0)])
+    def test_scale_invariance(self, g, d):
+        # 1/(z_1...z_r) is scale-free: I_r(c; gamma, delta) = I_r(1; gamma/c, delta/c),
+        # and delta/c caps at 1, as no z_i of a point under the slice 1 reaches it
+        for c in (0.45, 0.7, 1.6, 2.5):
+            scaled = Interval(g / c, min(d / c, 1.0))
+            for r in range(1, 10):
+                a, e1 = sliced_cube_integral(r, Interval(g, d), c, with_error=True)
+                b, e2 = sliced_cube_integral(r, scaled, 1.0, with_error=True)
+                assert abs(a - b) <= e1 + e2, (c, r, a, b, e1, e2)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             sliced_cube_integral(-1, Interval(0.3, 0.8), 1.0)
@@ -370,6 +391,12 @@ class TestSlicedCubeIntegral:
         for r in (200, 250):
             with pytest.raises(DomainError, match="lost its sign"):
                 q_limit(r, Interval(1 / 1000, 0.9))
+        # past float64: once (0.0, nan) after numpy RuntimeWarnings, though
+        # order 500 reads 6.0e253; and ln(d/g)^r once raised OverflowError
+        with pytest.raises(DomainError, match="order 999 .* overflows float64"):
+            sliced_cube_integral(999, Interval(1 / 999.5, 0.999), 1.0, with_error=True)
+        with pytest.raises(DomainError, match="order 500 .* overflows float64"):
+            sliced_cube_integral(500, Interval(0.001, 1), 1e6)
 
 
 class TestQ2Oracle:
