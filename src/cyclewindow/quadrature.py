@@ -143,6 +143,8 @@ def _refine(rule, f, lo, hi, tol, breakpoints):
     scalar = lambda x: np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
     sums, depth = np.zeros((3, 1)), 0  # value, error and rounding floor
     while a.size:
+        if a.size > MAX_LIVE_PANELS:
+            raise ToleranceNotMet(f"more than {MAX_LIVE_PANELS} live panels at depth {depth}")
         val, err = rule(scalar, a, b)
         with np.errstate(invalid="ignore", over="ignore"):
             bad = np.flatnonzero(~np.isfinite(val + err))
@@ -159,8 +161,6 @@ def _refine(rule, f, lo, hi, tol, breakpoints):
         mid = 0.5 * (a + b)[split]
         a, b = np.column_stack((a[split], mid)).ravel(), np.column_stack((mid, b[split])).ravel()
         ptol = np.repeat(0.5 * ptol[split], 2)
-        if a.size > MAX_LIVE_PANELS:
-            raise ToleranceNotMet(f"more than {MAX_LIVE_PANELS} live panels at depth {depth + 1}")
         depth += 1
     (value,), (error,), (floors,) = sums.tolist()
     if error > tol + floors:

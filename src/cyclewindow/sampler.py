@@ -1,15 +1,18 @@
 """Seeded Monte Carlo over cycle types of uniform and Ewens(sigma) permutations.
 
 Only cycle types are ever materialized, never full permutations.  Single
-draws follow the constructions stated in the interface contract
-(stick-breaking at sigma = 1, Chinese restaurant otherwise); the bulk
-estimator uses the Feller coupling of the Ewens cycle counts (Arratia,
-Barbour and Tavare, Logarithmic Combinatorial Structures, 2003, sec. 1.1):
-independent Bernoulli cycle openings whose spacings are the cycle lengths.
-It walks down from the closing opening at n+1 by inverting the cumulative
-hazard and stops at the first opening below max(a, 2), a being the window's
-shortest length, so a draw costs one exponential per opening it reaches; the
-tests check it against the single-draw constructions and exact laws.
+draws break sticks, at every sigma: the smallest remaining element's cycle
+takes a Beta(1, sigma) share of the m elements left, thinned by a binomial,
+the finite-n form of GEM(sigma) stick-breaking (Pitman, Combinatorial
+Stochastic Processes, 2006, ch. 3), so a draw costs two variates per cycle.
+The bulk estimator uses the Feller coupling of the Ewens cycle counts
+(Arratia, Barbour and Tavare, Logarithmic Combinatorial Structures, 2003,
+sec. 1.1): independent Bernoulli cycle openings whose spacings are the cycle
+lengths.  It walks down from the closing opening at n+1 by inverting the
+cumulative hazard and stops at the first opening below max(a, 2), a being
+the window's shortest length, so a draw costs one exponential per opening it
+reaches.  The two routes share no code, and the tests check each against the
+other and against exact laws.
 
 Randomness: Philox counter-based generators.  estimate_pmf(seed) draws every
 sample from one generator, Philox(SeedSequence(seed, spawn_key=(0,))), so
@@ -78,36 +81,23 @@ class EstimateResult:
 def sample_cycle_lengths(n, sigma, gen):
     """One cycle type of an Ewens(sigma) permutation of [n]; sigma=1 is uniform.
 
-    sigma = 1: stick-breaking, the cycle containing the smallest remaining
-    element has length uniform on {1..m} when m elements remain.  Otherwise:
-    Chinese restaurant, element j+1 opens a new cycle with probability
-    sigma/(sigma+j), else joins an existing cycle with probability
-    proportional to its current length.
+    Stick-breaking, a cycle per step: when m elements remain, the cycle of
+    the smallest has length 1 + Binomial(m - 1, W), W ~ Beta(1, sigma) drawn
+    as 1 - U^(1/sigma), the law of the first Chinese-restaurant table
+    (uniform on {1..m} at sigma = 1).  n - 1 must fit numpy's binomial, so
+    n above 2^63 is refused.
     """
     require_int(n=n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    if not 1 <= n <= 2**63:
+        raise DomainError(f"need 1 <= n <= 2^63, got {n}")
     if not 0 < sigma < math.inf:
         raise DomainError(f"need finite sigma > 0, got {sigma}")
-    if sigma == 1:
-        lengths = []
-        m = n
-        while m > 0:
-            length = int(gen.integers(1, m + 1))
-            lengths.append(length)
-            m -= length
-        return CycleLengths(tuple(lengths), n)
-    seat, sizes = [], []  # seat[i]: the cycle of element i
-    for j in range(n):
-        if j == 0 or gen.random() * (sigma + j) < sigma:
-            seat.append(len(sizes))
-            sizes.append(1)
-        else:
-            # a table weighted by size = a uniformly chosen seated element
-            t = seat[int(gen.integers(0, j))]
-            seat.append(t)
-            sizes[t] += 1
-    return CycleLengths(tuple(sizes), n)
+    lengths, m = [], n
+    while m:
+        stick = -math.expm1(math.log1p(-gen.random()) / sigma)  # random() may be 0.0
+        lengths.append(1 + int(gen.binomial(m - 1, stick)))
+        m -= lengths[-1]
+    return CycleLengths(tuple(lengths), n)
 
 
 def _hazard_inverse(hazard):

@@ -509,6 +509,20 @@ class TestQRecurrence:
             assert ratios[0] > ratios[1] > 1.0
             assert ratios[1] == pytest.approx(1.0, rel=5e-3)
 
+    @pytest.mark.parametrize("eps, rel", [(1e-5, 1e-10), (1e-7, 1e-8)])
+    def test_relative_digits_near_one_third(self, eps, rel):
+        # Q_3 is about 120*eps^3 here (1.2e-19 at eps = 1e-7), so an absolute
+        # gate would pass any value.  The 40-digit reference nests the
+        # recurrence: Q_3(g) = int_g^{1-2g} Q_2(g/(1-z)) dz/z, with
+        # Q_2(x) = int_x^{1-x} ln((1-y)/x) dy/y, its argument below 1/2 throughout.
+        g = 1.0 / 3.0 - eps
+        with mpmath.workdps(40):
+            q2 = lambda x: mpmath.quad(lambda y: mpmath.log((1 - y) / x) / y, [x, 1 - x])
+            x = mpmath.mpf(g)
+            want = mpmath.quad(lambda z: q2(x / (1 - z)) / z, [x, 1 - 2 * x])
+        assert abs(q_limit(3, Interval(g, 1.0)) - want) <= rel * want
+        assert abs(Q_recurrence(3, g) - want) <= rel * want
+
     def test_monotone_decreasing_in_gamma(self):
         vals = [Q_recurrence(3, g) for g in (0.12, 0.18, 0.24, 0.3, 0.33)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -1139,6 +1153,20 @@ class TestEwensLambda:
                     if want >= 1e-250:
                         got = ewens_lambda(Interval(g, d), sigma)
                         assert abs(got - want) <= 1e-12 * want, (g, d, sigma)
+
+    @pytest.mark.parametrize("g", [1e-20, 1e-100, 1e-300])
+    @pytest.mark.parametrize("d", [0.9, 1.0])
+    def test_tiny_gamma_within_1e_12_relative(self, g, d):
+        # Halving alone could not reach the 1/x pole within MAX_DEPTH, so
+        # these raised ToleranceNotMet.  The 40-digit reference splits off
+        # ln(d/g) and integrates the bounded rest ((1-x)^(sigma-1) - 1)/x.
+        for sigma in (0.5, 1.0, 2.0, 7.5):
+            with mpmath.workdps(40):
+                x0, x1, s = mpmath.mpf(g), mpmath.mpf(d), mpmath.mpf(sigma)
+                rest = lambda x: mpmath.expm1((s - 1) * mpmath.log1p(-x)) / x
+                want = mpmath.log(x1 / x0) + mpmath.quad(rest, [x0, x1 / 2, x1])
+            got = ewens_lambda(Interval(g, d), sigma)
+            assert abs(got - want) <= 1e-12 * want, (g, d, sigma)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from cyclewindow import sampler
 from cyclewindow.errors import DomainError
@@ -24,19 +25,19 @@ def gen(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def ewens_window_law(n, a, b, theta):
-    """Law of the count of cycles with length in [a, b] under Ewens(theta).
+def ewens_cycle_type_law(n, theta):
+    """{cycle type, longest first: probability} under Ewens(theta) on [n].
 
-    Weighted cycle-type enumeration: a type with c_k cycles of length k and
-    K cycles in all has probability theta^K n! / ((theta)_n prod k^c_k c_k!).
+    A type with c_k cycles of length k and K cycles in all has probability
+    theta^K n! / ((theta)_n prod k^c_k c_k!).
     """
     def partitions(m, top):
         if m == 0:
-            yield []
+            yield ()
             return
         for k in range(min(m, top), 0, -1):
             for rest in partitions(m - k, k):
-                yield [k] + rest
+                yield (k,) + rest
 
     rising = math.prod(theta + i for i in range(n))
     law = {}
@@ -44,6 +45,14 @@ def ewens_window_law(n, a, b, theta):
         weight = theta ** len(parts) * math.factorial(n) / rising
         for k in set(parts):
             weight /= k ** parts.count(k) * math.factorial(parts.count(k))
+        law[parts] = weight
+    return law
+
+
+def ewens_window_law(n, a, b, theta):
+    """Law of the count of cycles with length in [a, b] under Ewens(theta)."""
+    law = {}
+    for parts, weight in ewens_cycle_type_law(n, theta).items():
         hits = sum(a <= k <= b for k in parts)
         law[hits] = law.get(hits, 0.0) + weight
     return [law.get(i, 0.0) for i in range(max(law) + 1)]
@@ -128,6 +137,69 @@ class TestSingleDraws:
         # 3.0 returned CycleLengths with n=3.0; 2.5 raised a bare ValueError or TypeError
         with pytest.raises(DomainError, match=f"n must be an integer, got {n}"):
             sample_cycle_lengths(n, sigma, gen(0))
+
+
+class TestStickBreaking:
+    """The one construction of sample_cycle_lengths, at every sigma."""
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 2.5, 20.0])
+    def test_cycle_types_chi_square(self, n, sigma):
+        # Full cycle types against the exact Ewens law; types expected fewer
+        # than 5 times are pooled into one cell.
+        m = 20_000
+        law = ewens_cycle_type_law(n, sigma)
+        seen = dict.fromkeys(law, 0)
+        g = gen(1000 * n + round(100 * sigma))
+        for _ in range(m):
+            seen[tuple(sorted(sample_cycle_lengths(n, sigma, g).lengths, reverse=True))] += 1
+        cells, pooled = [], [0.0, 0]
+        for t, p in law.items():
+            if m * p < 5:
+                pooled[0] += m * p
+                pooled[1] += seen[t]
+            else:
+                cells.append((m * p, seen[t]))
+        if pooled[0] > 0:
+            cells.append(tuple(pooled))
+        stat = math.fsum((got - want) ** 2 / want for want, got in cells)
+        assert stat < chi2.isf(1e-4, len(cells) - 1), (stat, len(cells))
+
+    @pytest.mark.parametrize("n, sigma", [(10**8, 0.5), (10**8, 2.0), (10**18, 1.0)])
+    def test_large_n_draws_fast(self, n, sigma):
+        # the Chinese-restaurant loop this replaced took one step per element
+        started = time.perf_counter()
+        draw = sample_cycle_lengths(n, sigma, gen(5))
+        assert sum(draw.lengths) == n
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_n_past_int64_refused(self, sigma):
+        # numpy's binomial takes n - 1 up to 2^63 - 1; 10^30 raised its bare ValueError
+        for n in (2**63 + 1, 10**30):
+            with pytest.raises(DomainError, match="need 1 <= n <= 2"):
+                sample_cycle_lengths(n, sigma, gen(0))
+        assert sum(sample_cycle_lengths(2**63, sigma, gen(0)).lengths) == 2**63
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_window_counts_match_the_walk_and_the_dp(self, sigma):
+        # The single draws and estimate_pmf's Feller walk share no code, so
+        # each checks the other; at sigma = 1 the DP is exact.
+        n, iv, m = 2000, Interval(Fraction(1, 4), Fraction(1, 3)), 20_000
+        w = normalized_window(n, iv.gamma, iv.delta)
+        g = gen(31)
+        counts = np.zeros(n // w.a + 1)
+        for _ in range(m):
+            counts[sum(w.a <= k <= w.b for k in sample_cycle_lengths(n, sigma, g).lengths)] += 1
+        p = counts / m
+        if sigma == 1.0:
+            want, var = np.array([float(x) for x in exact_pmf(n, w)]), 0.0
+        else:
+            ref = estimate_pmf(n, iv, sigma, 200_000, seed=31)
+            want, var = np.array(ref.pmf_hat), np.array(ref.stderr) ** 2
+        se = np.sqrt(p * (1 - p) / m + var)
+        assert len(want) == len(p)
+        assert np.all(np.abs(p - want) <= 4 * se + 1e-9), (p, want, se)
 
 
 class TestEstimatePmf:

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from rho_oracle import RHO_DPS, rho
 
-from cyclewindow.errors import DomainError
+from cyclewindow.errors import DomainError, ToleranceNotMet
+from cyclewindow.quadrature import MAX_LIVE_PANELS
 from cyclewindow.special_fn import (
     RealInterval, buchstab, buchstab_max_residual, dilog,
 )
@@ -120,6 +121,15 @@ class TestBuchstab:
     def test_residual_domain(self):
         with pytest.raises(DomainError):
             buchstab_max_residual(RealInterval(1.0, 3.0), 5)
+
+    def test_residual_past_the_live_panel_cap_is_refused_at_once(self):
+        # u = 1e6 pre-splits [1, u - 1] at every integer, more pieces than
+        # MAX_LIVE_PANELS; the cap was checked only after a round, so the first
+        # round of about 10^6 Simpson panels ran in full (over 8 s)
+        t0 = time.perf_counter()
+        with pytest.raises(ToleranceNotMet, match=f"more than {MAX_LIVE_PANELS} live panels"):
+            buchstab_max_residual(RealInterval(2.0, 1e6), 3)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_concurrent_table_growth(self):
         # call from several threads at once: buchstab keeps no state, so every
