@@ -22,7 +22,6 @@ from .errors import DomainError, InvalidMomentsError, ToleranceNotMet
 from .exact_finite import IntWindow, exact_falling_moment, exact_pmf, normalized_window
 from .limit_integrals import (
     Interval, _steps_pmf, argmax_p, ewens_lambda, gamma_star, p_limit, sliced_cube_integral,
-    support_bound,
 )
 from .quasi_poisson import qp_pmf
 from .sampler import estimate_pmf
@@ -123,16 +122,16 @@ def _ratio(text):
 def emit_figure_data(lo, hi, points):
     """Rows (gamma, P0, P1, P2) of the limiting window (gamma, 1] pmf.
 
-    Every row is F read at u = 1/gamma off one pass of the steps of p_limit,
-    on the support of (lo, 1].
+    Every row is F read at u = 1/gamma off one pass of the steps of p_limit.
+    A window (gamma, 1] with gamma >= 1/3 holds at most two cycles, so each
+    row is its whole pmf; a lower lo raises DomainError.
     """
-    if not (1 / 3 - 1e-3 <= lo < hi <= 1.0):
+    if not (1 / 3 <= lo < hi <= 1.0):
         raise DomainError(f"need 1/3 <= lo < hi <= 1, got ({lo}, {hi})")
     if not 2 <= points <= FIGURE_MAX_POINTS:
         raise DomainError(f"need 2 <= points <= {FIGURE_MAX_POINTS}, got {points}")
     gammas = [lo + (hi - lo) * j / (points - 1) for j in range(points)]
-    probs = _steps_pmf([1 / g for g in gammas], support_bound(lo)).tolist()
-    return [[g, *(p + [0.0] * 2)[:3]] for g, p in zip(gammas, probs)]
+    return [[g, *p] for g, p in zip(gammas, _steps_pmf([1 / g for g in gammas], 2).tolist())]
 
 
 # Compute functions take the parsed options (keyed by argparse dest) and

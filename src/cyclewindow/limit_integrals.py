@@ -359,11 +359,12 @@ _K = np.arange(_CHEB_DEG + 2)  # the degrees k of T_k(y) = cos(k arccos y) in an
 
 
 def _steps_pmf(u, r):
-    """The pmfs of (1/u, 1] on {0..r}, a row for each u >= 1 of an array, from one pass of steps.
+    """The pmfs of (1/u, 1] on {0..r}, a row for each u >= 0 of an array, from one pass of steps.
 
     In u = t/gamma, F_j(u) = rho_{j+1}(u) - rho_j(u) (Knuth and Trabb Pardo,
     Theoret. Comput. Sci. 3, 1976) solves u F_j'(u) = (F_{j-1} - F_j)(u - 1)
-    from F_j = [j = 0] on [0, 1], with F_{-1} = 0, and P_j = F_j(u).  On each
+    from F_j = [j = 0] on [0, 1], with F_{-1} = 0, and P_j = F_j(u); a u
+    below 1 reads that constant piece, the row [1, 0, ...].  On each
     later piece [p, p + 1], F_j is 0 below j, and the integrand's node values
     g come from the last piece's: a point p + h reads F at p plus g's
     antiderivative (_CHEB_ANTI) at T_k(2h - 1), and one product with _STEP
@@ -379,6 +380,7 @@ def _steps_pmf(u, r):
     f = np.zeros((r + 2, _CHEB_DEG + 1))  # row j + 1: F_j at the last piece's nodes; row 0: F_{-1}
     end = np.zeros(r + 1)                  # F_j at the last piece's right end
     f[1], end[0], reads = 1.0, 1.0, set(piece.tolist())
+    out[piece == 0, 0] = 1.0  # the constant piece [0, 1]
     for p in range(1, (last := max(reads)) + 1):
         # (F_{j-1} - F_j)(u - 1)/u at u = p + (1 + x)/2, halved for the piece's half-width
         g = (f[:p + 1] - f[1:p + 2]) / (2 * p + 1 + _CHEB_PTS)
@@ -476,25 +478,24 @@ def ewens_lambda(iv: Interval, sigma):
     """integral_gamma^delta x^{-1} (1-x)^{sigma-1} dx for sigma > 0.
 
     sigma times this is the limiting mean count of the window's cycles under
-    Ewens(sigma).  For delta = 1 the integrand can be singular at the right
-    endpoint (sigma < 1); the tail over [1-eps, 1], eps <= 1/2, is the series
-    sum_m eps^{sigma+m}/(sigma+m) after substituting t = 1-x, whose terms
-    past the 60th add under 2^-59 of it.  The head is GK15 at 1e-13 times its
-    width times the integrand's smaller end value, so the rounding floor ends
-    the refinement, pre-split at gamma*2^k so each piece holds ln 2 of the
-    1/x pole: against a 50-digit route the relative error is under 1e-12 for
-    gamma from 1e-3 to 0.999 and sigma from 1e-3 to 300 wherever the value
-    is 1e-250 or more, and for gamma down to 1e-300 at sigma from 0.5 to
-    7.5.  Values near the subnormal range, such as (0.9, 1] at sigma = 300,
-    about 3.7e-303, are out of scope.
+    Ewens(sigma).  In v = logit x it is the integral of (1 + e^v)^-sigma, at
+    most 1 and decreasing: one GK15 integral from logit gamma, to the rounding
+    floor, up to logit delta or, if sooner, the cut where ln(1 + e^v) has risen
+    42/sigma, as the integrand is under 2^-60 of its start there.  Against
+    50-digit routes the relative error is under 1e-13 for gamma from 1e-3 to
+    0.999 and sigma from 1e-3 to 300 (values of 1e-250 or more), and under
+    1e-14 for gamma down to 1e-300 at sigma from 0.5 to 7.5.  A sigma below
+    about 4.7e-307 puts the cut of (gamma, 1] past half of float64's range and
+    raises DomainError; the value there is about 1/sigma, near overflow or past.
     """
     s = float(sigma)
     if not (math.isfinite(s) and s > 0):
         raise DomainError(f"need finite sigma > 0, got {sigma}")
     g, d = iv.g, iv.d
-    f = lambda x: (1.0 - x) ** (s - 1.0) / x
-    eps = min(0.5, (1.0 - g) / 2.0)
-    end = d if d < 1.0 else 1.0 - eps
-    brk = [g * 2.0 ** k for k in range(1, math.ceil(math.log2(end / g)))]
-    head, _ = integrate(f, g, end, max(1e-13 * min(f(g), f(end)) * (end - g), 1e-300), brk)
-    return head if d < 1.0 else head + math.fsum(eps ** (s + m) / (s + m) for m in range(60))
+    top = 42.0 / s - math.log1p(-g)  # ln(1 + e^v) at the cut
+    cut = top + math.log(-math.expm1(-top))
+    hi = cut if d == 1.0 else min(cut, math.log(d) - math.log1p(-d))
+    if not math.isfinite(2.0 * hi):  # every panel's a + b must be finite
+        raise DomainError(f"sigma = {sigma!r} puts the cut past half of float64's range")
+    f = lambda v: math.exp(-s * (max(v, 0.0) + math.log1p(math.exp(-abs(v)))))
+    return integrate(f, math.log(g) - math.log1p(-g), hi, math.ulp(0.0))[0]

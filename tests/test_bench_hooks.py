@@ -59,6 +59,22 @@ def test_finite_n_monte_carlo_checks_pass(seed):
         assert op.check(op.call()) is None, (seed, op.name)
 
 
+def test_finite_n_exact_checks_pass():
+    # the workload's exact operations, three exact_pmf calls and the moment
+    # enumerator, against their checks (quasi-Poisson TV, the harmonic mean
+    # in floats and in Fractions, the DP's moment) and their references
+    workloads = _load("workloads")
+    reference = workloads.load_reference("finite-n")
+    ops = [op for op in workloads.finite_n(workloads.DEFAULT_SEED).ops
+           if op.fn != "estimate_pmf"]
+    assert [op.fn for op in ops] == ["exact_pmf"] * 3 + ["exact_falling_moment"]
+    assert {op.name for op in ops} == set(reference)
+    for op in ops:
+        out = op.call()
+        assert op.check(out) is None, op.name
+        assert workloads.compare_reference(out, reference[op.name], op.ref_tol) is None, op.name
+
+
 @pytest.mark.parametrize("workload", ["limit-deep", "limit-sweep"])
 def test_limit_workload_checks_pass(workload):
     # every operation of the workload, whatever its function, against its own

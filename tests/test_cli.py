@@ -199,7 +199,7 @@ class TestFigure:
         assert len(out.splitlines()) == 6
 
     @pytest.mark.parametrize("lo,hi,points", [
-        (0.34, 1.0, 400), (1 / 3 - 1e-3, 1.0, 300), (0.499, 0.501, 3), (0.6, 0.9, 50)])
+        (0.34, 1.0, 400), (1 / 3, 1.0, 300), (0.499, 0.501, 3), (0.6, 0.9, 50)])
     def test_rows_match_per_window_p_limit(self, lo, hi, points):
         # the rows are read off one ladder for (lo, 1]; each must match the
         # pmf of its own window (gamma, 1], zero-padded to P0..P2; at
@@ -237,6 +237,21 @@ class TestFigure:
             q1, q2 = -math.log(g), limit_integrals.q2_closed_form(Interval(g, 1.0))
             want = (1.0 - q1 + q2 / 2, q1 - q2, q2 / 2)
             assert max(abs(a - b) for a, b in zip((p0, p1, p2), want)) <= 1e-14, g
+
+    @pytest.mark.parametrize("lo,hi,points", [
+        (1 / 3, 1.0, 3001), (1 / 3, 1 / 3 + 1e-9, 50), (0.34, 1.0, 400), (0.5, 1.0, 7)])
+    def test_every_row_sums_to_one(self, lo, hi, points):
+        # a row is the whole pmf of (gamma, 1]: below gamma = 1/3 the rows cut
+        # off P3, and (1/3 - 1e-3, 0.34] summed to 1 - 2.03e-8
+        for g, *p in emit_figure_data(lo, hi, points):
+            assert len(p) == 3 and abs(math.fsum(p) - 1.0) <= 1e-15, g
+
+    def test_lo_below_one_third_refused(self, capsys):
+        with pytest.raises(DomainError, match="1/3"):
+            emit_figure_data(1 / 3 - 1e-3, 0.34, 2)
+        rc, _, err = run_capture(capsys, "figure", "--lo", "0.3333", "--hi", "1",
+                                 "--points", "5")
+        assert rc == 2 and "error:" in err
 
     def test_points_over_the_cap_exit_2(self, capsys):
         t0 = time.perf_counter()
@@ -281,6 +296,14 @@ class TestExitCodes:
                                  "--delta", "1/3", "--sigma", "nan")
         assert rc == 2
         assert "error:" in err
+
+    def test_overflowing_ewens_lambda_exits_2(self, capsys):
+        # about 1/sigma on (1/4, 1]: this printed "lambda": Infinity, which is
+        # not JSON, and exited 0
+        rc, out, err = run_capture(capsys, "ewens-lambda", "--gamma", "1/4", "--delta",
+                                   "1", "--sigma", "5e-324", "--json")
+        assert rc == 2
+        assert out == "" and "error:" in err and "sigma" in err
 
     def test_oversized_exact_pmf_exits_2(self, capsys):
         t0 = time.perf_counter()

@@ -910,6 +910,15 @@ class TestPLimit:
             for j, p in enumerate(row):
                 assert abs(p - (rhos[j + 1] - rhos[j])) <= 1e-14, (x, j)
 
+    def test_constant_piece_reads_one_then_zeros(self):
+        # u in [0, 1], where F_j = [j = 0]: the row [1, 0, ...] exactly, in
+        # one call with later pieces, and alone (no piece is stepped)
+        u = [0.0, 0.25, 0.5, 1 - 1e-16, 1.0, 2.5]
+        rows = limit_integrals._steps_pmf(u, 3).tolist()
+        assert rows[:5] == [[1.0, 0.0, 0.0, 0.0]] * 5
+        assert rows[5] == list(p_limit(Interval(1 / 2.5, 1)).as_floats()) + [0.0]
+        assert limit_integrals._steps_pmf([0.0, 0.5], 0).tolist() == [[1.0], [1.0]]
+
     @pytest.mark.parametrize("g", [1 / 5.3, 1 / 6.7, 1 / 8.2, 1 / 10.34, 1 / 12.5, 1 / 15.05,
                                    1 / 17.9, 1 / 20.3])
     def test_steps_match_the_ladder_moments(self, g):
@@ -962,6 +971,20 @@ class TestPLimit:
         assert time.perf_counter() - t0 < 0.1
         assert len(got) == 991
         assert abs(math.fsum(j * p for j, p in enumerate(got)) - math.log(d / g)) <= 1e-12
+
+    # q_2 of (1/990.5, 0.9] to 30 digits by mpmath: ln(d/g) ln((1 - d)/g) plus
+    # the integral of ln((1 - z)/g)/z over [1 - d, d], at the floats g and d
+    NEAR_CAP_Q2 = 45.177206080905771799
+
+    def test_near_the_cap_q2_within_1e_14_relative(self):
+        got = q_limit(2, Interval(1 / 990.5, 0.9))
+        assert abs(got - self.NEAR_CAP_Q2) <= 1e-14 * self.NEAR_CAP_Q2
+
+    @pytest.mark.xfail(strict=True, reason="the ladder's inverted pmf misses q_2 by 1.75e-9 "
+                       "relative on (1/990.5, 0.9]; ROADMAP item 2's level grid is the fix")
+    def test_near_the_cap_pmf_second_moment_within_1e_12_relative(self):
+        got = falling_moment(p_limit(Interval(1 / 990.5, 0.9)), 2)
+        assert abs(got - self.NEAR_CAP_Q2) <= 1e-12 * self.NEAR_CAP_Q2
 
     def test_order_cut_moves_no_entry_past_its_tail(self):
         # (1/100.5, 1/5.5) keeps orders to m < 100; against the inversion of all 100
@@ -1167,6 +1190,54 @@ class TestEwensLambda:
                 want = mpmath.log(x1 / x0) + mpmath.quad(rest, [x0, x1 / 2, x1])
             got = ewens_lambda(Interval(g, d), sigma)
             assert abs(got - want) <= 1e-12 * want, (g, d, sigma)
+
+    def _grid(self):
+        """(gamma, delta, sigma, 50-digit value) for every grid window valued 1e-250 or more."""
+        for g in self.GAMMAS:
+            for d in [1.0, 0.9995] + ([2 * g] if 2 * g < 0.95 else []):
+                for sigma in self.SIGMAS:
+                    with mpmath.workdps(50):
+                        want = self._to_one(g, sigma) - (self._to_one(d, sigma) if d < 1 else 0)
+                    if want >= 1e-250:
+                        yield g, d, sigma, want
+
+    def test_grid_within_1e_13_relative(self):
+        # one integral in logit coordinates; the tail series, the gamma*2^k
+        # breakpoints and the end-value tolerance it replaced read 2.2e-13
+        cases = list(self._grid())
+        assert len(cases) == 140
+        for g, d, sigma, want in cases:
+            got = ewens_lambda(Interval(g, d), sigma)
+            assert abs(got - want) <= 1e-13 * want, (g, d, sigma)
+
+    @pytest.mark.parametrize("g", [1e-20, 1e-100, 1e-300])
+    @pytest.mark.parametrize("d", [0.9, 1.0])
+    def test_tiny_gamma_within_1e_14_relative(self, g, d):
+        # the same 40-digit route as test_tiny_gamma_within_1e_12_relative;
+        # the breakpoint list it replaced read 2.7e-14
+        for sigma in (0.5, 1.0, 2.0, 7.5):
+            with mpmath.workdps(40):
+                x0, x1, s = mpmath.mpf(g), mpmath.mpf(d), mpmath.mpf(sigma)
+                rest = lambda x: mpmath.expm1((s - 1) * mpmath.log1p(-x)) / x
+                want = mpmath.log(x1 / x0) + mpmath.quad(rest, [x0, x1 / 2, x1])
+            got = ewens_lambda(Interval(g, d), sigma)
+            assert abs(got - want) <= 1e-14 * want, (g, d, sigma)
+
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-308, 4.6e-307])
+    def test_sigma_past_float64_refused(self, sigma):
+        # about 1/sigma on (gamma, 1]: 5e-324 once returned inf, and the
+        # quadrature cannot run once the cut 42/sigma is past half the range
+        with pytest.raises(DomainError, match="sigma"):
+            ewens_lambda(Interval(0.25, 1.0), sigma)
+
+    @pytest.mark.parametrize("sigma", [4.8e-307, 1e-300, 1e-200])
+    def test_tiny_sigma_within_1e_14_relative(self, sigma):
+        # just above the refusal, and delta < 1, where the cut never binds
+        want = self._to_one(0.25, sigma)
+        got = ewens_lambda(Interval(0.25, 1.0), sigma)
+        assert abs(got - want) <= 1e-14 * want
+        # x^-1 (1 - x)^-1 integrates to the logit difference, ln 3 here
+        assert ewens_lambda(Interval(0.25, 0.5), sigma) == pytest.approx(math.log(3), rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
