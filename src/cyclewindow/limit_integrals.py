@@ -477,25 +477,25 @@ def small_simplex_ratio(k, gamma):
 def ewens_lambda(iv: Interval, sigma):
     """integral_gamma^delta x^{-1} (1-x)^{sigma-1} dx for sigma > 0.
 
-    sigma times this is the limiting mean count of the window's cycles under
-    Ewens(sigma).  In v = logit x it is the integral of (1 + e^v)^-sigma, at
-    most 1 and decreasing: one GK15 integral from logit gamma, to the rounding
-    floor, up to logit delta or, if sooner, the cut where ln(1 + e^v) has risen
-    42/sigma, as the integrand is under 2^-60 of its start there.  Against
-    50-digit routes the relative error is under 1e-13 for gamma from 1e-3 to
-    0.999 and sigma from 1e-3 to 300 (values of 1e-250 or more), and under
-    1e-14 for gamma down to 1e-300 at sigma from 0.5 to 7.5.  A sigma below
-    about 4.7e-307 puts the cut of (gamma, 1] past half of float64's range and
-    raises DomainError; the value there is about 1/sigma, near overflow or past.
+    sigma times this is the window's limiting mean cycle count under Ewens(sigma).  In
+    t = logit x - logit gamma it is one GK15 integral of (1 + e^v)^-sigma, at most 1 and
+    decreasing, to the rounding floor: up to the exact logit width log1p((delta - gamma) /
+    (gamma (1 - delta))) or the cut where ln(1 + e^v) has risen 42/sigma, past which it is
+    under 2^-60 of its start.  Against 50-digit routes the relative error is under 1e-13
+    for gamma in [1e-3, 0.999], sigma in [1e-3, 300] and widths down to 1e-12 (values over
+    1e-250), and 1e-14 for gamma down to 1e-300 at sigma in [0.5, 7.5].  Below sigma =
+    4.7e-307 the cut of (gamma, 1] passes half of float64's range, panel midpoints overflow
+    and DomainError is raised, though the value, about 1/sigma, is finite to 5.6e-309.
     """
     s = float(sigma)
     if not (math.isfinite(s) and s > 0):
         raise DomainError(f"need finite sigma > 0, got {sigma}")
     g, d = iv.g, iv.d
+    a = math.log(g) - math.log1p(-g)  # logit gamma
     top = 42.0 / s - math.log1p(-g)  # ln(1 + e^v) at the cut
-    cut = top + math.log(-math.expm1(-top))
-    hi = cut if d == 1.0 else min(cut, math.log(d) - math.log1p(-d))
-    if not math.isfinite(2.0 * hi):  # every panel's a + b must be finite
+    w = top + math.log(-math.expm1(-top)) - a
+    w = w if d == 1.0 else min(w, math.log1p((d - g) / (g * (1.0 - d))))
+    if not math.isfinite(2.0 * w):  # every panel's a + b must be finite
         raise DomainError(f"sigma = {sigma!r} puts the cut past half of float64's range")
-    f = lambda v: math.exp(-s * (max(v, 0.0) + math.log1p(math.exp(-abs(v)))))
-    return integrate(f, math.log(g) - math.log1p(-g), hi, math.ulp(0.0))[0]
+    f = lambda t: math.exp(-s * (max(a + t, 0.0) + math.log1p(math.exp(-abs(a + t)))))
+    return integrate(f, 0.0, w, math.ulp(0.0))[0]

@@ -67,6 +67,8 @@ def buchstab(u):
     """The Buchstab function omega(u) for finite u >= 1, abs err <= 1e-8."""
     if not 1.0 <= u < math.inf:
         raise DomainError(f"buchstab defined for finite u >= 1, got {u}")
+    if u <= 2.0:
+        return 1.0 / u
     from .limit_integrals import _steps_pmf  # limit_integrals imports dilog from here
     u = min(u, _U_CLAMP)
     r = int(u - 1.0)

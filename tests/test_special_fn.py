@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from rho_oracle import RHO_DPS, rho
 
-from cyclewindow import limit_integrals
 from cyclewindow.errors import DomainError, ToleranceNotMet
 from cyclewindow.quadrature import MAX_LIVE_PANELS
 from cyclewindow.special_fn import (
@@ -63,16 +62,6 @@ class TestBuchstab:
     def test_reciprocal_on_first_interval(self):
         for u in [1.0, 1.25, 1.5, 1.75, 2.0]:
             assert buchstab(u) == 1.0 / u
-
-    def test_reciprocal_on_first_interval_reads_the_steps(self, monkeypatch):
-        # no branch for [1, 2]: the steps read the constant piece [0, 1] of
-        # v = u - 1 as the row [1], and v = 1 as [1, 0], exactly
-        calls, steps = [], limit_integrals._steps_pmf
-        monkeypatch.setattr(limit_integrals, "_steps_pmf",
-                            lambda *args: calls.append(args) or steps(*args))
-        for u in [1.0, 1.5, 2.0]:
-            assert buchstab(u) == 1.0 / u
-        assert len(calls) == 3
 
     def test_known_values(self):
         # omega(3) has the closed form (1 + ln 2)/3
