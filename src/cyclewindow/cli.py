@@ -109,14 +109,14 @@ def _fmt(x):
 
 
 def _ratio(text):
-    """Parse '1/3' exactly as a Fraction, or a decimal as float."""
-    s = text.strip()
-    if "/" in s:
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-    return float(s)
+    """Parse 'a/b' exactly as Fraction(a) / Fraction(b), so '1/990.5' is 2/1981, else a float."""
+    if "/" not in text:
+        return float(text)
+    num, den = text.split("/")
+    try:
+        return Fraction(num) / Fraction(den)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def emit_figure_data(lo, hi, points):
@@ -184,6 +184,7 @@ def _argmax(o):
     return {"argmax": g, "p_i": p[o["i"]] if o["i"] < len(p) else 0.0}
 
 
+_ratio.__name__ = "ratio"  # argparse names the type in "invalid ratio value"
 _WINDOW = {"gamma": _ratio, "delta": _ratio}
 
 # name -> (compute, options).  An option's kind is a type for a required

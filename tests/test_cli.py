@@ -382,6 +382,20 @@ class TestExitCodes:
         assert rc == 2
         assert "--gamma" in err and "Traceback" not in err
 
+    def test_bad_ratio_is_named_as_a_ratio(self, capsys):
+        rc, _, err = run_capture(capsys, "limit-pmf", "--gamma", "1/x", "--delta", "1")
+        assert rc == 2
+        assert "invalid ratio value: '1/x'" in err
+
+    def test_ratio_with_a_decimal_part_is_exact(self, capsys):
+        # the near-cap window (1/990.5, 0.9] once exited 2, "invalid _ratio value"
+        rc, out, _ = run_capture(capsys, "limit-pmf", "--gamma", "1/990.5", "--delta", "0.9",
+                                 "--json")
+        assert rc == 0
+        data = json.loads(out)
+        assert data["params"]["gamma"] == "2/1981" and data["results"]["support"] == 990
+        assert data["results"]["pmf"] == list(p_limit(Interval(1 / 990.5, 0.9)).as_floats())
+
     @pytest.mark.parametrize("gamma,delta", [("nan", "1"), ("inf", "1"), ("-1", "1/2"),
                                              ("1/2", "1/2"), ("0.2", "2")])
     def test_window_outside_interval_rule_exits_2(self, capsys, gamma, delta):
@@ -392,18 +406,20 @@ class TestExitCodes:
             assert "error:" in err
 
     def test_moment_that_lost_its_sign_exits_2(self, capsys):
-        # once printed q_r: 0.0 next to an error estimate of 5.1e87
-        rc, out, err = run_capture(capsys, "limit-moment", "--r", "200",
+        # once printed q_r: 0.0 next to an error estimate (5.1e87 at order 200)
+        rc, out, err = run_capture(capsys, "limit-moment", "--r", "300",
                                    "--gamma", "1/1000", "--delta", "0.9")
         assert rc == 2
         assert "lost its sign" in err and out == ""
 
-    def test_moment_past_float64_exits_2(self, capsys):
-        # once printed q_r: 0.0 and estimate: NaN, which is not JSON, and exited 0
-        rc, out, err = run_capture(capsys, "limit-moment", "--r", "999", "--gamma",
-                                   "0.0010005", "--delta", "0.999", "--json")
-        assert rc == 2
-        assert "overflows float64" in err and out == ""
+    def test_moment_that_underflows_prints_valid_json(self, capsys):
+        # once printed q_r: 0.0 and estimate: NaN, which is not JSON; the true
+        # value underflows, so 0.0 stands next to a finite estimate
+        rc, out, _ = run_capture(capsys, "limit-moment", "--r", "999", "--gamma",
+                                 "0.0010005", "--delta", "0.999", "--json")
+        assert rc == 0
+        data = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
+        assert data["results"]["q_r"] == 0.0 and math.isfinite(data["errors"]["estimate"])
 
     def test_oversized_qp_exits_2(self, capsys):
         t0 = time.perf_counter()
