@@ -117,6 +117,56 @@ class TestPiecewiseCheb:
 _DEEP = [(1 / 20.3, 1 / 10.4), (1 / 10.3, 1.0), (1 / 8.3, 1 / 2.4)]
 
 
+def _level_builds(g, d):
+    """(m, bounds, integrand) of every table of orders 2..r-1, from its own levels."""
+    levels, _ = _ladder(support_bound(g) - 1, g, d, 1.0)
+    return [(m,) + limit_integrals._layout(m, g, d, 1.0, levels[m - 2])
+            for m in range(2, len(levels) + 1)]
+
+
+class TestLevelTables:
+    @pytest.mark.parametrize("g, d", _DEEP)
+    def test_stored_rows_are_bit_identical_to_numpy(self, g, d):
+        # a level table reads its 34-column rows as numpy would
+        m, bounds, fn = _level_builds(g, d)[2]
+        coef, _ = quadrature._antiderivative(bounds, fn)
+        assert coef.shape[1] == 34
+        table = _PiecewiseCheb(bounds, coef, left=0.0, right=None)
+        rng = np.random.default_rng(20260815)
+        for a, b, cheb in zip(bounds, bounds[1:], _chebs(bounds, coef)):
+            ts = rng.uniform(a, b, 2000)
+            assert [v.hex() for v in table(ts).tolist()] == \
+                [float(cheb(t)).hex() for t in ts.tolist()], (m, a, b)
+
+    @pytest.mark.parametrize("g, d", _DEEP)
+    def test_every_level_keeps_all_34_columns(self, g, d):
+        # no column is chopped, and each piece's tail is (b - a)(|c_31| + |c_32|)
+        # of the integrand's interpolant alone
+        for m, bounds, fn in _level_builds(g, d):
+            coef, tail = quadrature._antiderivative(bounds, fn)
+            assert coef.shape == (len(bounds) - 1, 34), m
+            fit = _interp_pieces(bounds, fn)
+            want = np.diff(np.asarray(bounds)) * np.abs(fit[:, -2:]).sum(axis=1)
+            assert tail.tobytes() == want.tobytes(), m
+
+    @pytest.mark.parametrize("g, d", _DEEP + [(1 / 990.5, 0.9), (1 / 1000, 0.9)])
+    def test_every_piece_is_graded_from_its_kink(self, g, d):
+        # a term of level m's integrand that starts at a kink k = a*g + (m-a)*d
+        # is singular at k - g, so no piece [s, t] right of k is wider than
+        # its distance s - (k - g) from that point.  Grading from m*g alone
+        # left level 2's last piece on (1/990.5, 0.9] 0.099 wide at 0.001
+        for m in range(1, support_bound(g) + 1):
+            bounds, _ = limit_integrals._layout(m, g, d, 1.0, None)
+            kinks = sorted(a * g + (m - a) * d for a in range(m + 1))
+            for s, t in zip(bounds, bounds[1:]):
+                k = max(p for p in kinks if p <= s + _BND_EPS)
+                assert t - s <= s - k + g + 2 * _BND_EPS, (m, s, t, k)
+
+    def test_keeps_every_column_of_a_zero_table(self):
+        coef, tail = quadrature._antiderivative([0.0, 0.5, 1.0], np.zeros_like)
+        assert coef.shape == (2, 34) and not coef.any() and not tail.any()
+
+
 class TestSlicedCubeIntegral:
     def test_r0(self):
         assert sliced_cube_integral(0, Interval(0.3, 0.8), 1.0) == 1.0
