@@ -11,8 +11,10 @@ sec. 1.1): independent Bernoulli cycle openings whose spacings are the cycle
 lengths.  It walks down from the closing opening at n+1 by inverting the
 cumulative hazard and stops at the first opening below max(a, 2), a being
 the window's shortest length, so a draw costs one exponential per opening it
-reaches.  The two routes share no code, and the tests check each against the
-other and against exact laws.
+reaches.  A round steps every live walk at once, gathers by take, and
+compresses out the finished tallies and the survivors by one mask, the
+walks still at or above the stop.  The two routes share no code, and the
+tests check each against the other and against exact laws.
 
 Randomness: Philox counter-based generators.  estimate_pmf(seed) draws every
 sample from one generator, Philox(SeedSequence(seed, spawn_key=(0,))), so
@@ -110,9 +112,11 @@ def _hazard_inverse(hazard):
     spread = int(np.max(np.diff(guide)))
 
     def invert(x):
-        i = guide[(np.maximum(x, 0.0) * inv_h).astype(np.int64)]
+        key = np.maximum(x, 0.0)
+        key *= inv_h
+        i = guide.take(key.astype(np.int64))
         for _ in range(spread):
-            i += hazard[i] < x
+            i += hazard.take(i) < x
         return i
     return invert
 
@@ -131,16 +135,17 @@ def _feller_tally(gen, draws, hazard, a, b, counts):
         hits = np.zeros_like(top)
         while len(top):
             variates += len(top)
-            drop = hazard[top - 2] - gen.standard_exponential(len(top))
-            nxt = invert(drop) + 1
-            length = top - nxt
+            drop = hazard.take(top - 2)
+            drop -= gen.standard_exponential(len(top))
+            nxt = invert(drop)
+            nxt += 1
+            length = np.subtract(top, nxt, out=top)
             if length.min() < 1:  # a walk that does not descend never ends
                 raise RuntimeError("Feller walk: a step did not move down")
             hits += (length >= a) & (length <= b)
-            done = nxt < stop
-            counts += np.bincount(hits[done], minlength=len(counts))
-            live = ~done
-            top, hits = nxt[live], hits[live]
+            live = nxt >= stop
+            counts += np.bincount(np.compress(~live, hits), minlength=len(counts))
+            top, hits = np.compress(live, nxt), np.compress(live, hits)
     return variates
 
 
@@ -158,9 +163,12 @@ def estimate_pmf(n, iv: Interval, sigma, samples, seed):
         raise DomainError(f"need samples >= 1, got {samples}")
     if seed < 0:
         raise DomainError(f"need seed >= 0, got {seed}")
-    if 40 * n + 8 > DP_TABLE_MAX_BYTES:  # hazard (8n) and guide (8(4n+1)) bytes, before either
-        raise DomainError(f"estimate_pmf for n = {n} needs {40 * n + 8:.1e} bytes, over the cap")
     w = normalized_window(n, iv.gamma, iv.delta)
+    # hazard (8n) and guide (8(4n+1)) bytes, and 104 bytes at peak for each of the n//a + 1
+    # result entries: counts, pmf_hat and stderr arrays and tuples, and their float objects
+    need = 40 * n + 8 + 104 * (n // w.a + 1)
+    if need > DP_TABLE_MAX_BYTES:
+        raise DomainError(f"estimate_pmf for n = {n} needs {need:.1e} bytes, over the cap")
     # log1p(theta/(i-1)) = -log(1-p_i) stays finite where p_i rounds to 1
     hazard = np.concatenate(([0.0], np.cumsum(np.log1p(float(sigma) / np.arange(1, n)))))
     counts = np.zeros(n // w.a + 1, dtype=np.int64)

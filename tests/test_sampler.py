@@ -302,7 +302,15 @@ class TestEstimatePmf:
             estimate_pmf(6_710_887, Interval(0.25, 0.5), 1.0, 100, seed=0)
         assert time.perf_counter() - t0 < 1.0
 
-    # Values recorded from the binary-search walk the guide lookup replaced.
+    def test_result_entries_are_refused_before_building(self):
+        # a = 1 gives n + 1 result entries at 104 bytes each: 8.6e8 bytes in all at n = 6e6
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="n = 6000000 needs 8.6e[+]08 bytes"):
+            estimate_pmf(6_000_000, Interval(1e-7, 1.0), 1.0, 10, 0)
+        assert time.perf_counter() - t0 < 1.0
+
+    # Values recorded from the binary-search walk the guide lookup replaced; the last three
+    # from the boolean-indexed walk that np.compress and take replaced.
     @pytest.mark.parametrize("args, counts, variates", [
         ((2000, Interval(Fraction(1, 4), Fraction(1, 3)), 1.0, 50_000, 20260815),
          (37479, 10821, 1511, 189, 0), 119530),
@@ -311,6 +319,14 @@ class TestEstimatePmf:
         # more draws than one _ROW_CAP chunk
         ((10**5, Interval(Fraction(1, 10), Fraction(1, 2)), 0.7, 70_000, 9),
          (20480, 27965, 10107, 8072, 3013, 349, 14, 0, 0, 0, 0), 182560),
+        # delta = 1: b = n, the tally's top end, is hit when the first step lands on 1
+        ((2000, Interval(Fraction(1, 2), 1), 1.0, 50_000, 20260815), (15375, 34625, 0), 84755),
+        # a = 1, so stop = 2 and every walk runs to the bottom; 3001 entries
+        ((3000, Interval(1e-4, Fraction(1, 2)), 1.0, 50_000, 20260815),
+         (19, 145, 668, 1554, 2969, 4803, 6260, 7062, 6942, 6125, 4851, 3443, 2258, 1399, 765,
+          403, 211, 76, 20, 20, 3, 4) + (0,) * 2979, 428260),
+        ((2000, Interval(Fraction(1, 10), Fraction(1, 2)), 0.3, 50_000, 20260815),
+         (27594, 17360, 2946, 1710, 369, 21, 0, 0, 0, 0, 0), 84644),
     ])
     def test_stream_is_pinned(self, args, counts, variates):
         res = estimate_pmf(*args)
