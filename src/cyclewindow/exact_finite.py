@@ -116,21 +116,25 @@ def exact_pmf(n, w: IntWindow, rational=None):
     P_m = (cum_{m-1} + D_m)/m where D_m(i) = W_m(i-1) - W_m(i).  In
     u_m = cum_m/(m+1) this becomes
 
-        u_m = u_{m-1} + D_m / (m(m+1)),    u_0 = P_0 = [1, 0, ...].
+        u_m = u_{m-1} + D_m / q_m,    q_m = m(m+1),    u_0 = P_0 = [1, 0, ...],
 
-    D_m reads only cum at or below m - a, so a block m = s..s+a-1 needs only
-    columns already filled: it reads its window sums as two column slices of
-    a support x (n+1) table, takes one cumulative sum along m, and fills only
-    the (s+a-1)//a + 1 rows that can be nonzero (column m has m//a + 1).
-    P_n itself is u_{n-1} + D_n/n, which avoids differencing cum.  The fill
-    is about n^2/(2a) cells in n/a blocks.
+    and with q_n = n the same step gives P_n = u_{n-1} + D_n/n, which avoids
+    differencing cum.  D_m reads only cum at or below m - a, so a block
+    m = s..s+a-1 needs only columns already filled: it reads its window sums
+    as two column slices of a support x (n+1) table and divides them by q_m
+    before differencing, as D_m/q_m is the difference of W_m/q_m and W_m has
+    one row fewer.  It adds u_{s-1} into its first column, so one cumulative
+    sum along m writes u_m, and P_n rides in the last block's sum.  Only the
+    (s+a-1)//a + 1 rows that can be nonzero are filled (column m has
+    m//a + 1).  The fill is about n^2/(2a) cells in n/a blocks.
 
     rational=None picks exact Fractions for n <= 200 and floats beyond.
     Floats use a float64 table; tiny negatives left by rounding are set to
-    0.  Fractions run the same code on Python ints scaled by n!: for m < n
-    the denominators of cum_m, u_m and D_m/(m(m+1)) divide (m+1)!, and D_n/n
-    has one dividing n!, so every // is exact and n! * P_n(i) is the number
-    of permutations with i cycles in the window.  A table that would exceed
+    0.  Fractions run the same code on Python ints scaled by n!, with Python
+    int divisors: W_m has denominators dividing (m-1)!, and n!/(m-1)! is a
+    multiple of m(m+1) for m < n and of n for m = n, so every // is exact;
+    u_m has denominators dividing (m+1)!, and n! * P_n(i) is the number of
+    permutations with i cycles in the window.  A table that would exceed
     DP_TABLE_MAX_BYTES is refused with DomainError rather than allocated.
     """
     require_int(n=n)
@@ -164,21 +168,25 @@ def exact_pmf(n, w: IntWindow, rational=None):
         # the first column past cum[:, 0]; a zero border gives D(i) = W(i-1) - W(i)
         e = min(s + a, n + 1)
         k = (e - 1) // a + 1
+        m = np.arange(s, e, dtype=dtype)
+        q = m * (m + 1)
+        if e > n:
+            q[-1] = n
         d = np.zeros((k + 1, e - s), dtype, order=order)
-        d[1:k, max(a - s, 0):] = cum[:k - 1, max(s - a, 0) + 1:e - a + 1]
+        win = d[1:k]
+        win[:, max(a - s, 0):] = cum[:k - 1, max(s - a, 0) + 1:e - a + 1]
         if e > b + 1:
-            d[1:k, max(b + 1 - s, 0):] -= cum[:k - 1, max(s - b, 1):e - b]
+            win[:, max(b + 1 - s, 0):] -= cum[:k - 1, max(s - b, 1):e - b]
+        div(win, q)
         d = d[:-1] - d[1:]
-        m = np.arange(s, min(e, n))
-        block = d[:, :len(m)]  # divided, summed along m and shifted by u in place
-        np.cumsum(div(block, m * (m + 1)), axis=1, out=block)
-        block += u[:k, None]
-        np.multiply(block, m + 1, out=cum[:k, s + 1:s + 1 + len(m)])
-        u[:k] = block[:, -1] if len(m) else u[:k]
-    last = u + div(d[:, -1], n)
+        d[:, 0] += u[:k]
+        np.cumsum(d, axis=1, out=d)  # u_m, and P_n in column n
+        c = len(m) - (e > n)
+        np.multiply(d[:, :c], m[:c] + 1, out=cum[:k, s + 1:s + 1 + c])
+        u[:k] = d[:, -1]
     if rational:
-        return Pmf(tuple(Fraction(x, one) for x in last))
-    return Pmf(tuple(np.maximum(last, 0.0).tolist()))
+        return Pmf(tuple(Fraction(x, one) for x in u))
+    return Pmf(tuple(np.maximum(u, 0.0).tolist()))
 
 
 def _partitions(n, max_part):

@@ -11,10 +11,14 @@ sec. 1.1): independent Bernoulli cycle openings whose spacings are the cycle
 lengths.  It walks down from the closing opening at n+1 by inverting the
 cumulative hazard and stops at the first opening below max(a, 2), a being
 the window's shortest length, so a draw costs one exponential per opening it
-reaches.  A round steps every live walk at once, gathers by take, and
-compresses out the finished tallies and the survivors by one mask, the
-walks still at or above the stop.  The two routes share no code, and the
-tests check each against the other and against exact laws.
+reaches.  The inversion reads a guide table, the running count of the
+bucketed hazard built by one bincount.  A round steps every live walk at
+once: the first starts every walk at n+1 and gathers nothing, later ones
+gather by take; a step counts in the window by one unsigned compare of its
+length less a, and one mask, the walks still at or above the stop,
+compresses out the finished tallies and the survivors.  The two routes
+share no code, and the tests check each against the other and against
+exact laws.
 
 Randomness: Philox counter-based generators.  estimate_pmf(seed) draws every
 sample from one generator, Philox(SeedSequence(seed, spawn_key=(0,))), so
@@ -108,13 +112,20 @@ def _hazard_inverse(hazard):
     # below j; key is monotone, so spread steps from guide[key(x)] reach the answer, never pass it.
     m, h = 4 * len(hazard), float(hazard[-1])  # h = 0 at n = 1, subnormal at tiny sigma
     inv_h = (m - 1) / h if h > 0 and (m - 1) / h < math.inf else 1.0
-    guide = np.searchsorted((hazard * inv_h).astype(np.int64), np.arange(m + 1))
-    spread = int(np.max(np.diff(guide)))
+    # guide[j] - guide[j-1] counts the keys equal to j - 1, at most m - 1, so a running sum
+    # of bincount(keys + 1) over m + 1 entries is the guide, in O(n)
+    keys = np.multiply(hazard, inv_h, out=np.empty(len(hazard), np.int64), casting="unsafe")
+    keys += 1
+    guide = np.bincount(keys, minlength=m + 1)
+    spread = int(guide.max())
+    np.cumsum(guide, out=guide)
 
     def invert(x):
-        key = np.maximum(x, 0.0)
-        key *= inv_h
-        i = guide.take(key.astype(np.int64))
+        # a drop below 0 has a key below 0, which the clip reads as guide[0] = 0; far below,
+        # at a tiny sigma, the key leaves the int64 range, and its cast raises no warning
+        with np.errstate(invalid="ignore"):
+            key = np.multiply(x, inv_h, out=np.empty(len(x), np.int64), casting="unsafe")
+        i = guide.take(key, mode="clip")
         for _ in range(spread):
             i += hazard.take(i) < x
         return i
@@ -126,26 +137,32 @@ def _feller_tally(gen, draws, hazard, a, b, counts):
     # with probability p_i = theta/(theta+i-1), and the gaps between openings,
     # with a closing one at n+1, are the cycle lengths.  hazard[k] = H(k+1) =
     # -sum_{i=2}^{k+1} log(1-p_i); walking down, the next opening below top is
-    # the largest i with H(i-1) < H(top-1) - Exp(1), a guide lookup and a few compares.
-    # Below stop = max(a, 2) every gap left is shorter than a.  Returns the exponentials drawn.
+    # i + 1 for i the number of hazard values below H(top-1) - Exp(1), a guide lookup and a
+    # few compares.  A walk carries t = top - 2, the hazard index of H(top-1), so the step
+    # length is t - i + 1.  Below stop = max(a, 2) every gap left is shorter than a.
+    # Returns the exponentials drawn.
     n, stop, variates = len(hazard), max(a, 2), 0
     invert = _hazard_inverse(hazard)
     for start in range(0, draws, _ROW_CAP):
-        top = np.full(min(_ROW_CAP, draws - start), n + 1, dtype=np.int64)
-        hits = np.zeros_like(top)
-        while len(top):
-            variates += len(top)
-            drop = hazard.take(top - 2)
-            drop -= gen.standard_exponential(len(top))
-            nxt = invert(drop)
-            nxt += 1
-            length = np.subtract(top, nxt, out=top)
-            if length.min() < 1:  # a walk that does not descend never ends
+        t = np.full(min(_ROW_CAP, draws - start), n - 1, dtype=np.int64)
+        hits = np.zeros_like(t)
+        drop = np.subtract(hazard[n - 1], gen.standard_exponential(len(t)))  # every top is n + 1
+        while True:
+            variates += len(t)
+            i = invert(drop)
+            rel = np.subtract(t, i, out=t)
+            rel += 1 - a  # the step length less a
+            if rel.min() < 1 - a:  # a walk that does not descend never ends
                 raise RuntimeError("Feller walk: a step did not move down")
-            hits += (length >= a) & (length <= b)
-            live = nxt >= stop
+            hits += rel.view(np.uint64) <= b - a
+            live = i >= stop - 1
             counts += np.bincount(np.compress(~live, hits), minlength=len(counts))
-            top, hits = np.compress(live, nxt), np.compress(live, hits)
+            t, hits = np.compress(live, i), np.compress(live, hits)
+            if not len(t):
+                break
+            t -= 1
+            drop = hazard.take(t)
+            drop -= gen.standard_exponential(len(t))
     return variates
 
 
@@ -164,9 +181,11 @@ def estimate_pmf(n, iv: Interval, sigma, samples, seed):
     if seed < 0:
         raise DomainError(f"need seed >= 0, got {seed}")
     w = normalized_window(n, iv.gamma, iv.delta)
-    # hazard (8n) and guide (8(4n+1)) bytes, and 104 bytes at peak for each of the n//a + 1
-    # result entries: counts, pmf_hat and stderr arrays and tuples, and their float objects
-    need = 40 * n + 8 + 104 * (n // w.a + 1)
+    # hazard (8n), guide keys (8n) and guide (8(4n+1)) bytes, live together while the guide
+    # is built; 104 bytes at peak for each of the n//a + 1 result entries: counts, pmf_hat
+    # and stderr arrays and tuples, and their float objects; and 16 KiB for the objects of
+    # fixed size, such as the generator and the array headers
+    need = 48 * n + 8 + 104 * (n // w.a + 1) + 2**14
     if need > DP_TABLE_MAX_BYTES:
         raise DomainError(f"estimate_pmf for n = {n} needs {need:.1e} bytes, over the cap")
     # log1p(theta/(i-1)) = -log(1-p_i) stays finite where p_i rounds to 1

@@ -238,6 +238,15 @@ class TestFigure:
             want = (1.0 - q1 + q2 / 2, q1 - q2, q2 / 2)
             assert max(abs(a - b) for a, b in zip((p0, p1, p2), want)) <= 1e-14, g
 
+    @pytest.mark.parametrize("lo,hi,points", [(0.34, 1.0, 400), (1 / 3, 1.0, 10**5)])
+    def test_rows_equal_the_per_row_construction(self, lo, hi, points):
+        # gammas in Python floats in the same order of operations, and a list per row
+        gammas = [lo + (hi - lo) * j / (points - 1) for j in range(points)]
+        pmfs = cli._steps_pmf([1 / g for g in gammas], 2).tolist()
+        rows = emit_figure_data(lo, hi, points)
+        assert rows == [[g, *p] for g, p in zip(gammas, pmfs)]
+        assert all(type(v) is float for row in rows for v in row)
+
     @pytest.mark.parametrize("lo,hi,points", [
         (1 / 3, 1.0, 3001), (1 / 3, 1 / 3 + 1e-9, 50), (0.34, 1.0, 400), (0.5, 1.0, 7)])
     def test_every_row_sums_to_one(self, lo, hi, points):

@@ -77,21 +77,25 @@ def row_major_pmf(n, w, rational):
     for s in range(1, n + 1, a):
         e = min(s + a, n + 1)
         k = (e - 1) // a + 1
+        m = np.arange(s, e, dtype=dtype)
+        q = m * (m + 1)
+        if e > n:
+            q[-1] = n
         d = np.zeros((e - s, k + 1), dtype)
-        d[max(a - s, 0):, 1:k] = cum[max(s - a, 0) + 1:e - a + 1, :k - 1]
+        win = d[:, 1:k]
+        win[max(a - s, 0):] = cum[max(s - a, 0) + 1:e - a + 1, :k - 1]
         if e > b + 1:
-            d[max(b + 1 - s, 0):, 1:k] -= cum[max(s - b, 1):e - b, :k - 1]
+            win[max(b + 1 - s, 0):] -= cum[max(s - b, 1):e - b, :k - 1]
+        div(win, q[:, None])
         d = d[:, :-1] - d[:, 1:]
-        m = np.arange(s, min(e, n))
-        block = d[:len(m)]
-        np.cumsum(div(block, (m * (m + 1))[:, None]), axis=0, out=block)
-        block += u[:k]
-        cum[s + 1:s + 1 + len(m), :k] = block * (m + 1)[:, None]
-        u[:k] = block[-1] if len(m) else u[:k]
-    last = u + div(d[-1], n)
+        d[0] += u[:k]
+        np.cumsum(d, axis=0, out=d)
+        c = len(m) - (e > n)
+        cum[s + 1:s + 1 + c, :k] = d[:c] * (m[:c] + 1)[:, None]
+        u[:k] = d[-1]
     if rational:
-        return tuple(Fraction(x, one) for x in last)
-    return tuple(np.maximum(last, 0.0).tolist())
+        return tuple(Fraction(x, one) for x in u)
+    return tuple(np.maximum(u, 0.0).tolist())
 
 
 def check_against_direct(n, w, want):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -296,16 +297,30 @@ class TestEstimatePmf:
         assert time.perf_counter() - t0 < 1.0
 
     def test_hazard_and_guide_are_refused_before_building(self):
-        # 8n hazard bytes and 8(4n+1) guide bytes: n = 6,710,886 fits in 256 MiB, this does not.
+        # 8n hazard, 8n key and 8(4n+1) guide bytes, 16 KiB and the result entries:
+        # n = 5,592,055 fits in 256 MiB, this does not.
         t0 = time.perf_counter()
-        with pytest.raises(DomainError, match="n = 6710887 needs 2.7e[+]08 bytes"):
-            estimate_pmf(6_710_887, Interval(0.25, 0.5), 1.0, 100, seed=0)
+        with pytest.raises(DomainError, match="n = 5592056 needs 2.7e[+]08 bytes"):
+            estimate_pmf(5_592_056, Interval(0.25, 0.5), 1.0, 100, seed=0)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_counted_bytes_cover_the_peak(self):
+        # the bytes the cap counts at n = 10^6, with 5 result entries, against what the call
+        # allocates at its peak: the guide's build, where hazard, keys and guide are live together
+        n, iv = 10**6, Interval(0.25, 0.5)
+        estimate_pmf(100, iv, 1.0, 10, seed=0)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            estimate_pmf(n, iv, 1.0, 10, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 48 * n <= peak <= 48 * n + 8 + 104 * 5 + 2**14
+
     def test_result_entries_are_refused_before_building(self):
-        # a = 1 gives n + 1 result entries at 104 bytes each: 8.6e8 bytes in all at n = 6e6
+        # a = 1 gives n + 1 result entries at 104 bytes each: 9.1e8 bytes in all at n = 6e6
         t0 = time.perf_counter()
-        with pytest.raises(DomainError, match="n = 6000000 needs 8.6e[+]08 bytes"):
+        with pytest.raises(DomainError, match="n = 6000000 needs 9.1e[+]08 bytes"):
             estimate_pmf(6_000_000, Interval(1e-7, 1.0), 1.0, 10, 0)
         assert time.perf_counter() - t0 < 1.0
 
@@ -421,6 +436,15 @@ class TestHazardInverse:
         base = np.concatenate((rng.uniform(-1.0, h, 5000), hazard, np.arange(m + 1) / inv_h))
         q = np.concatenate((base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)))
         q = q[q <= h]  # a walk never drops above hazard[-1]
+        assert np.array_equal(_hazard_inverse(hazard)(q), np.searchsorted(hazard, q, side="left"))
+
+    @pytest.mark.parametrize("sigma", [1e-16, 1e-12, 1e-300])
+    def test_drops_far_below_zero_read_position_zero(self, sigma):
+        # inv_h is about 4n/(sigma ln n), so a drop of -44, about the least a walk sees (a
+        # standard exponential stays below 45), scales past the int64 range at sigma = 1e-16;
+        # the cast's RuntimeWarning would fail the test
+        hazard = hazard_of(2000, sigma)
+        q = np.array([-44.0, -1.0, -1e-300, 0.0, hazard[1], hazard[-1]])
         assert np.array_equal(_hazard_inverse(hazard)(q), np.searchsorted(hazard, q, side="left"))
 
 
