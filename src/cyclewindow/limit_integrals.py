@@ -412,25 +412,12 @@ def p1_derivative(gamma):
     return (-1.0 + 2.0 * (math.log1p(-g) - math.log(g))) / g
 
 
-def _bisect(slope, lo, hi):
-    """The point of (lo, hi) where slope turns from positive to not, by bisection.
-
-    Halves the bracket until its midpoint is no longer strictly inside it.
-    """
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if slope(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
-
-
 def gamma_star():
     """The gamma in (1/3, 1/2) maximizing the one-cycle probability of (gamma, 1].
 
-    _bisect on the sign of p1_derivative; closed form 1/(1+sqrt(e)).
+    1/(1 + sqrt(e)), the zero of p1_derivative: -1 + 2 ln((1 - g)/g) = 0.
     """
-    return _bisect(p1_derivative, 1 / 3 + 1e-9, 0.5 - 1e-9)  # > 0 at lo, < 0 at hi
+    return 1.0 / (1.0 + math.sqrt(math.e))
 
 
 def _p_slope(i, gamma):
@@ -449,16 +436,23 @@ def _p_slope(i, gamma):
 def argmax_p(i, lo, hi):
     """Argmax over gamma in [lo, hi] of p_limit((gamma, 1))[i].
 
-    _bisect on the sign of _p_slope, to rounding.  Assumes (does not verify)
-    unimodality of the objective on [lo, hi]; a monotone objective gives the
-    end it rises to.
+    Bisects on the sign of _p_slope, halving the bracket until its midpoint
+    is no longer strictly inside it.  Assumes (does not verify) unimodality
+    of the objective on [lo, hi]; a monotone objective gives the end it
+    rises to.
     """
     require_int(i=i)
     if not 0.0 < lo < hi <= 1.0:
         raise DomainError(f"need 0 < lo < hi <= 1, got ({lo}, {hi})")
     if i < 0 or i > support_bound(lo):
         raise DomainError(f"index {i} outside the support bound for gamma >= {lo}")
-    return _bisect(lambda g: _p_slope(i, g), float(lo), float(hi))
+    lo, hi = float(lo), float(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _p_slope(i, mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
 
 
 def small_simplex_ratio(k, gamma):

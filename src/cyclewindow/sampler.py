@@ -110,8 +110,11 @@ def _hazard_inverse(hazard):
     # x -> np.searchsorted(hazard, x, side="left") for x <= hazard[-1], by a guide table (Chen
     # and Asau, 1974; Devroye, 1986, sec. III.2.4): guide[j] counts the keys int(hazard*inv_h)
     # below j; key is monotone, so spread steps from guide[key(x)] reach the answer, never pass it.
-    m, h = 4 * len(hazard), float(hazard[-1])  # h = 0 at n = 1, subnormal at tiny sigma
-    inv_h = (m - 1) / h if h > 0 and (m - 1) / h < math.inf else 1.0
+    m, h = 4 * len(hazard), float(hazard[-1])  # h = 0 at n = 1
+    inv_h = (m - 1) / h if h > 0 else 1.0
+    if inv_h == math.inf:  # h subnormal: one bucket would cost n compares per lookup
+        raise DomainError(f"estimate_pmf for n = {len(hazard)}: hazard total {h!r} puts the "
+                          f"bucket scale (4n - 1)/h past float64; raise sigma")
     # guide[j] - guide[j-1] counts the keys equal to j - 1, at most m - 1, so a running sum
     # of bincount(keys + 1) over m + 1 entries is the guide, in O(n)
     keys = np.multiply(hazard, inv_h, out=np.empty(len(hazard), np.int64), casting="unsafe")
@@ -121,9 +124,9 @@ def _hazard_inverse(hazard):
     np.cumsum(guide, out=guide)
 
     def invert(x):
-        # a drop below 0 has a key below 0, which the clip reads as guide[0] = 0; far below,
-        # at a tiny sigma, the key leaves the int64 range, and its cast raises no warning
-        with np.errstate(invalid="ignore"):
+        # a drop below 0 has a key below 0, which the clip reads as guide[0] = 0; far below, at
+        # a tiny sigma, the product leaves the int64 or even the float range, with no warning
+        with np.errstate(over="ignore", invalid="ignore"):
             key = np.multiply(x, inv_h, out=np.empty(len(x), np.int64), casting="unsafe")
         i = guide.take(key, mode="clip")
         for _ in range(spread):

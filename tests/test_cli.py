@@ -467,6 +467,16 @@ def test_python_dash_m_runs_the_cli(module):
     assert got == pytest.approx(1.0 / (1.0 + math.exp(0.5)), abs=1e-12)
 
 
+def test_python_dash_m_refuses_a_sigma_the_walk_cannot_bucket():
+    # at sigma = 1e-310 the hazard total is subnormal; this once ran 1.2 s of n-pass lookups
+    proc = subprocess.run([sys.executable, "-m", "cyclewindow", "sample", "--n", "400000",
+                           "--gamma", "1/4", "--delta", "1/2", "--sigma", "1e-310",
+                           "--draws", "1000", "--seed", "0"],
+                          capture_output=True, text=True, env=_package_env(), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "error:" in proc.stderr and "n = 400000" in proc.stderr
+
+
 def _readme_cli_commands():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## Command-line interface", 1)[1]

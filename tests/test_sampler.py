@@ -296,6 +296,14 @@ class TestEstimatePmf:
             estimate_pmf(10**9, Interval(0.25, 0.5), 1.0, 100, seed=0)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_subnormal_hazard_is_refused_fast(self):
+        # at sigma = 1e-310 the hazard total is subnormal and (4n - 1)/h overflows float64;
+        # the one bucket the walk once fell back to took n compare passes per lookup, 1.2 s here
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="n = 400000: .*past float64"):
+            estimate_pmf(4 * 10**5, Interval(0.25, 0.5), 1e-310, 1000, 0)
+        assert time.perf_counter() - t0 < 0.1
+
     def test_hazard_and_guide_are_refused_before_building(self):
         # 8n hazard, 8n key and 8(4n+1) guide bytes, 16 KiB and the result entries:
         # n = 5,592,055 fits in 256 MiB, this does not.
@@ -428,10 +436,16 @@ class TestHazardInverse:
     def test_matches_searchsorted(self, n, sigma):
         # Random drops, every hazard value and bucket edge, and their neighbours.  A guide
         # built on the grid j*hazard[-1]/(4n-1) rather than on the keys int(hazard*inv_h)
-        # starts past the answer here at (3, 1e-3), (50, 1) and (2000, 0.5).
+        # starts past the answer here at (3, 1e-3), (50, 1) and (2000, 0.5).  At sigma =
+        # 1e-310 the scale overflows from n = 2 on, and the table is refused.
         hazard = hazard_of(n, sigma)
         m, h = 4 * n, float(hazard[-1])
-        inv_h = (m - 1) / h if h > 0 and (m - 1) / h < math.inf else 1.0
+        inv_h = (m - 1) / h if h > 0 else 1.0
+        assert (inv_h == math.inf) == (sigma == 1e-310 and n > 1)
+        if inv_h == math.inf:
+            with pytest.raises(DomainError, match=f"n = {n}: .*past float64"):
+                _hazard_inverse(hazard)
+            return
         rng = np.random.default_rng(n)
         base = np.concatenate((rng.uniform(-1.0, h, 5000), hazard, np.arange(m + 1) / inv_h))
         q = np.concatenate((base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)))
@@ -443,6 +457,14 @@ class TestHazardInverse:
         # inv_h is about 4n/(sigma ln n), so a drop of -44, about the least a walk sees (a
         # standard exponential stays below 45), scales past the int64 range at sigma = 1e-16;
         # the cast's RuntimeWarning would fail the test
+        hazard = hazard_of(2000, sigma)
+        q = np.array([-44.0, -1.0, -1e-300, 0.0, hazard[1], hazard[-1]])
+        assert np.array_equal(_hazard_inverse(hazard)(q), np.searchsorted(hazard, q, side="left"))
+
+    @pytest.mark.parametrize("sigma", [5.5e-306, 1e-305, 1e-304])
+    def test_drops_past_the_float_range_read_position_zero(self, sigma):
+        # just above the refused sigma inv_h nears 1.8e308, so a drop of -44 scales past
+        # float64 itself; that overflow's RuntimeWarning would fail the test
         hazard = hazard_of(2000, sigma)
         q = np.array([-44.0, -1.0, -1e-300, 0.0, hazard[1], hazard[-1]])
         assert np.array_equal(_hazard_inverse(hazard)(q), np.searchsorted(hazard, q, side="left"))
