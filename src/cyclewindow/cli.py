@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, InvalidMomentsError, ToleranceNotMet
+from .errors import DomainError, InvalidMomentsError, ToleranceNotMet, require_int
 from .exact_finite import IntWindow, exact_falling_moment, exact_pmf, normalized_window
 from .limit_integrals import (
     Interval, _steps_pmf, argmax_p, ewens_lambda, gamma_star, p_limit, sliced_cube_integral,
@@ -130,6 +130,7 @@ def emit_figure_data(lo, hi, points):
     """
     if not (1 / 3 <= lo < hi <= 1.0):
         raise DomainError(f"need 1/3 <= lo < hi <= 1, got ({lo}, {hi})")
+    require_int(points=points)
     if not 2 <= points <= FIGURE_MAX_POINTS:
         raise DomainError(f"need 2 <= points <= {FIGURE_MAX_POINTS}, got {points}")
     gammas = lo + (hi - lo) * np.arange(points) / (points - 1)

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer-argument check."""
+"""Exception types shared across the package, and the argument checks."""
 
+import math
 from numbers import Integral
 
 
@@ -30,8 +31,21 @@ class ToleranceNotMet(RuntimeError):
         self.requested = requested
 
 
-def require_int(**values):
-    """Raise DomainError naming the first of values that is not an integer."""
+def require_int(floor=None, /, **values):
+    """Raise DomainError naming the first of values that is not an integer, or is below floor."""
     for name, x in values.items():
         if not isinstance(x, Integral):
             raise DomainError(f"{name} must be an integer, got {x!r}")
+        if floor is not None and x < floor:
+            raise DomainError(f"need {name} >= {floor}, got {x}")
+
+
+def require_sigma(sigma):
+    """float(sigma), or DomainError unless it is positive and finite; an overflow is not finite."""
+    try:
+        s = float(sigma)
+    except OverflowError:
+        s = math.inf
+    if not 0 < s < math.inf:
+        raise DomainError(f"need finite sigma > 0, got {sigma}")
+    return s

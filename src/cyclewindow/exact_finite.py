@@ -75,9 +75,7 @@ def normalized_window(n, gamma, delta):
     hit, so downstream code uniformly produces a point mass at 0.  The
     endpoints must pass Interval: finite, with 0 < gamma < delta <= 1.
     """
-    require_int(n=n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    require_int(1, n=n)
     Interval(gamma, delta)
     a = max(_snap_int(Fraction(gamma) * n, math.ceil), 1)
     b = _snap_int(Fraction(delta) * n, math.floor)
@@ -91,9 +89,7 @@ def joint_falling_moment(n, spec: CycleSpec):
 
     Equals prod k_i^{-r_i} exactly when n >= sum k_i r_i, else exactly 0.
     """
-    require_int(n=n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    require_int(1, n=n)
     for k, _ in spec.entries:
         if k > n:
             raise DomainError(f"cycle length {k} exceeds n = {n}")
@@ -137,9 +133,7 @@ def exact_pmf(n, w: IntWindow, rational=None):
     permutations with i cycles in the window.  A table that would exceed
     DP_TABLE_MAX_BYTES is refused with DomainError rather than allocated.
     """
-    require_int(n=n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    require_int(1, n=n)
     if rational is None:
         rational = n <= RATIONAL_LIMIT
     if w.a > n:
@@ -235,11 +229,8 @@ def exact_falling_moment(n, w: IntWindow, r):
     g_j(s) = j d (G_{j-1}(s - a) - G_{j-1}(s - b - 1)) // s is exact.
     A call over MOMENT_MAX_WORK is refused with DomainError before it starts.
     """
-    require_int(n=n, r=r)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if r < 0:
-        raise DomainError(f"need r >= 0, got {r}")
+    require_int(1, n=n)
+    require_int(0, r=r)
     if r == 0:
         return Fraction(1)
     a, b = w.a, min(w.b, n)

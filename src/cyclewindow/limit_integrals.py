@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, require_int
+from .errors import DomainError, require_int, require_sigma
 from .quadrature import (
     _BND_EPS, _CHEB_ANTI, _CHEB_DEG, _CHEB_PTS, _STEP, _antiderivative, _dedupe,
     _gk15, _integral, _interp_pieces, _PiecewiseCheb, integrate,
@@ -44,7 +44,8 @@ class Interval:
     """Normalized cycle-length window (gamma, delta) with 0 < gamma < delta <= 1.
 
     Endpoints may be floats or Fractions; Fractions keep support-bound
-    arithmetic in p_limit exact.
+    arithmetic in p_limit exact.  A Fraction gamma below float64's range
+    serves the exact routes, but g refuses it to the float ones.
     """
 
     gamma: object
@@ -60,7 +61,9 @@ class Interval:
 
     @property
     def g(self):
-        return float(self.gamma)
+        if g := float(self.gamma):
+            return g
+        raise DomainError(f"gamma = {self.gamma} underflows float64 to 0.0")
 
     @property
     def d(self):
@@ -288,10 +291,8 @@ def _recurrence_pieces(k, g):
 
 def Q_recurrence(k, gamma):
     """Q_k(gamma): limiting k-th falling moment for the window (gamma, 1]."""
-    require_int(k=k)
+    require_int(0, k=k)
     g = float(gamma)
-    if k < 0:
-        raise DomainError(f"need k >= 0, got {k}")
     if not 0.0 < g < 1.0:
         raise DomainError(f"need 0 < gamma < 1, got {gamma}")
     if k == 0:
@@ -461,10 +462,8 @@ def small_simplex_ratio(k, gamma):
     Tends to k^k/k! as gamma approaches 1/k (the window degenerates to a
     right simplex of shrinking side).
     """
-    require_int(k=k)
+    require_int(1, k=k)
     g = float(gamma)
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
     if not 0.0 < g < 1.0 / k:
         raise DomainError(f"need 0 < gamma < 1/{k}, got {gamma}")
     return Q_recurrence(k, g) / (1.0 - k * g) ** k
@@ -483,9 +482,7 @@ def ewens_lambda(iv: Interval, sigma):
     4.7e-307 the cut of (gamma, 1] passes half of float64's range, panel midpoints overflow
     and DomainError is raised, though the value, about 1/sigma, is finite to 5.6e-309.
     """
-    s = float(sigma)
-    if not (math.isfinite(s) and s > 0):
-        raise DomainError(f"need finite sigma > 0, got {sigma}")
+    s = require_sigma(sigma)
     g, d = iv.g, iv.d
     a = math.log(g) - math.log1p(-g)  # logit gamma
     top = 42.0 / s - math.log1p(-g)  # ln(1 + e^v) at the cut

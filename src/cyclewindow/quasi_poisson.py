@@ -82,9 +82,6 @@ class MomentVector:
     def __len__(self):
         return len(self.moments)
 
-    def __getitem__(self, i):
-        return self.moments[i]
-
 
 def qp_pmf(r, lam):
     """The quasi-Poisson(r, lam) pmf on {0, ..., r}.
@@ -101,9 +98,7 @@ def qp_pmf(r, lam):
 
 def falling_moment(pmf: Pmf, k):
     """E[(X)_k] = sum_i i(i-1)...(i-k+1) p_i for X ~ pmf."""
-    require_int(k=k)
-    if k < 0:
-        raise DomainError(f"need k >= 0, got {k}")
+    require_int(0, k=k)
     if k == 0:
         return Fraction(1) if all(_is_exact(p) for p in pmf.probs) else 1.0
     terms = [math.perm(i, k) * pmf[i] for i in range(k, len(pmf))]
@@ -146,17 +141,13 @@ def pmf_from_falling_moments(mv: MomentVector):
         raise InvalidMomentsError(
             f"moment vector is not realizable on {{0..{r}}}: p_{bad[0]} = {a[bad[0]] / denom}")
     a = [max(x, 0) for x in a]
-    total = sum(a)
-    if total == 0:
-        raise InvalidMomentsError("moment inversion produced an all-zero pmf")
+    total = sum(a)  # >= denom: the shift keeps the sum at a_0 = denom, and clamping raises it
     return Pmf(tuple(Fraction(x, total) if exact else x / total for x in a))
 
 
 def binomial_matrices(n):
     """(B, B_inv) with B[i][j] = binom(j, i), signed inverse; exact ints."""
-    require_int(n=n)
-    if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
+    require_int(0, n=n)
     if n > 20:
         raise DomainError("binomial_matrices capped at n = 20")
     size = n + 1

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_int
+from .errors import DomainError, require_int, require_sigma
 from .exact_finite import DP_TABLE_MAX_BYTES, normalized_window
 from .limit_integrals import Interval
 
@@ -96,8 +96,7 @@ def sample_cycle_lengths(n, sigma, gen):
     require_int(n=n)
     if not 1 <= n <= 2**63:
         raise DomainError(f"need 1 <= n <= 2^63, got {n}")
-    if not 0 < sigma < math.inf:
-        raise DomainError(f"need finite sigma > 0, got {sigma}")
+    sigma = require_sigma(sigma)
     lengths, m = [], n
     while m:
         stick = -math.expm1(math.log1p(-gen.random()) / sigma)  # random() may be 0.0
@@ -174,15 +173,9 @@ def estimate_pmf(n, iv: Interval, sigma, samples, seed):
 
     Deterministic for fixed (seed, samples); see the module notes for the stream.
     """
-    require_int(n=n, samples=samples, seed=seed)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if not 0 < sigma < math.inf:
-        raise DomainError(f"need finite sigma > 0, got {sigma}")
-    if samples < 1:
-        raise DomainError(f"need samples >= 1, got {samples}")
-    if seed < 0:
-        raise DomainError(f"need seed >= 0, got {seed}")
+    require_int(1, n=n, samples=samples)
+    require_int(0, seed=seed)
+    sigma = require_sigma(sigma)
     w = normalized_window(n, iv.gamma, iv.delta)
     # hazard (8n), guide keys (8n) and guide (8(4n+1)) bytes, live together while the guide
     # is built; 104 bytes at peak for each of the n//a + 1 result entries: counts, pmf_hat
@@ -192,7 +185,7 @@ def estimate_pmf(n, iv: Interval, sigma, samples, seed):
     if need > DP_TABLE_MAX_BYTES:
         raise DomainError(f"estimate_pmf for n = {n} needs {need:.1e} bytes, over the cap")
     # log1p(theta/(i-1)) = -log(1-p_i) stays finite where p_i rounds to 1
-    hazard = np.concatenate(([0.0], np.cumsum(np.log1p(float(sigma) / np.arange(1, n)))))
+    hazard = np.concatenate(([0.0], np.cumsum(np.log1p(sigma / np.arange(1, n)))))
     counts = np.zeros(n // w.a + 1, dtype=np.int64)
     # spawn_key (0,) is the stream of SeedSequence(seed).spawn(1)[0]
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))

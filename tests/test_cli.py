@@ -278,6 +278,12 @@ class TestFigure:
         with pytest.raises(DomainError):
             emit_figure_data(0.4, 0.9, 1)
 
+    @pytest.mark.parametrize("points", [3.5, 4.0, "4"])
+    def test_non_integer_points_refused(self, points):
+        # 3.5 gave 4 rows, the last at gamma = 1.132, past hi and outside (0, 1]
+        with pytest.raises(DomainError, match="points must be an integer"):
+            emit_figure_data(0.34, 1.0, points)
+
 
 class TestExitCodes:
     def test_domain_error_exits_2(self, capsys):
@@ -305,6 +311,20 @@ class TestExitCodes:
                                  "--delta", "1/3", "--sigma", "nan")
         assert rc == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [("limit-moment", "--r", "2"), ("ewens-lambda", "--sigma", "2")])
+    def test_gamma_below_float64_exits_2(self, capsys, argv):
+        # these exited 1 with a ZeroDivisionError or ValueError traceback
+        rc, out, err = run_capture(capsys, *argv, "--gamma", "1/1e400", "--delta", "1/2")
+        assert rc == 2
+        assert out == "" and "error:" in err and "underflows float64" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("exact-pmf", "--n", "10"), ("sample", "--n", "10", "--draws", "10", "--seed", "0")])
+    def test_gamma_below_float64_runs_the_finite_routes(self, capsys, argv):
+        rc, out, _ = run_capture(capsys, *argv, "--gamma", "1/1e400", "--delta", "1/2", "--json")
+        assert rc == 0
+        assert json.loads(out)["results"]["window"] == [1, 5]
 
     def test_overflowing_ewens_lambda_exits_2(self, capsys):
         # about 1/sigma on (1/4, 1]: this printed "lambda": Infinity, which is

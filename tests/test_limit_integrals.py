@@ -48,6 +48,18 @@ class TestInterval:
         with pytest.raises(DomainError):
             Interval(0.4, 1.1)
 
+    def test_gamma_below_float64_serves_only_the_exact_routes(self):
+        # its float gamma is 0.0: q_limit raised ZeroDivisionError and ewens_lambda
+        # "math domain error"; the finite-n routes read the Fraction and still run
+        iv = Interval(Fraction(1, 10**400), Fraction(1, 2))
+        for call in (lambda: iv.g, lambda: q_limit(2, iv), lambda: ewens_lambda(iv, 2.0),
+                     lambda: sliced_cube_integral(1, iv, 0.5)):
+            with pytest.raises(DomainError, match="underflows float64"):
+                call()
+        assert sliced_cube_integral(0, iv, 1.0) == 1.0  # order 0 reads no gamma
+        assert iv.d == 0.5
+        assert normalized_window(10, iv.gamma, iv.delta) == normalized_window(10, 1e-300, 0.5)
+
 
 def _chebs(bounds, coef):
     """The numpy Chebyshev object of each coefficient row on its piece."""
@@ -444,6 +456,12 @@ class TestQRecurrence:
         assert Q_recurrence(1, 0.5) == pytest.approx(math.log(2), abs=1e-15)
         assert Q_recurrence(3, 0.4) == 0.0
         assert Q_recurrence(2, 0.5) == 0.0
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_a_level_past_its_top_is_zero(self, k):
+        # level k - 1 starts at g/(1 - g), within _BND_EPS of its top 1/(k - 1): it is the
+        # zero level, and the region of order k is empty up to rounding
+        assert Q_recurrence(k, 1 / k - 1e-16) == 0.0
 
     def test_k2_equals_full_window_moment(self):
         assert Q_recurrence(2, 0.4) == pytest.approx(

@@ -156,6 +156,12 @@ class TestInversion:
         with pytest.raises(InvalidMomentsError):
             pmf_from_falling_moments(MomentVector((1, 2, 0)))
 
+    def test_entry_past_float64_rejected(self):
+        # p_1 is about -1.7e308, p_2 about +1.7e308 and p_3 about 2.8e307, so reading an
+        # entry as a float overflows; that is refused as not realizable
+        with pytest.raises(InvalidMomentsError, match="not realizable"):
+            pmf_from_falling_moments(MomentVector((1.0, 1.7e308, 0.0, 1.7e308)))
+
     def test_order_past_the_cap_is_refused(self):
         with pytest.raises(DomainError, match="moment inversion stops"):
             pmf_from_falling_moments(MomentVector((1.0,) + (0.0,) * (INVERSION_MAX_ORDER + 1)))
